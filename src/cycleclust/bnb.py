@@ -26,6 +26,7 @@ from .simplex import AT_LB, AT_UB, BASIC, SimplexEngine, StandardLp
 
 PRUNE_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
+NODE_SELECTIONS = ("best_bound", "dfs")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class SolverConfig:
     gap_tol: float = 1e-6
     time_limit_s: float | None = None
     node_limit: int | None = None
-    node_selection: str = "best_bound"  # or "dfs"
+    node_selection: str = "best_bound"  # one of NODE_SELECTIONS
     heuristics: HeuristicsConfig = field(default_factory=HeuristicsConfig)
 
 
@@ -79,9 +80,8 @@ def _fg_basis(mip: MipInstance, std: StandardLp):
     slacks everywhere else."""
     n, m = mip.n, mip.m
     basis = std.nstruct + np.arange(std.nrows, dtype=np.int64)
-    for k in range(1, m + 1):
-        basis[n + m + (k - 1)] = mip.var_index[f"f_{k}"]
-        basis[n + 2 * m + (k - 1)] = mip.var_index[f"g_{k}"]
+    basis[n + m:n + 2 * m] = mip.blocks["f"].offset + np.arange(m)
+    basis[n + 2 * m:n + 3 * m] = mip.blocks["g"].offset + np.arange(m)
     return basis
 
 
@@ -165,9 +165,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
     pool.push(BnbNode(depth=0, bounds={}, parent_bound=root_bound, node_id=0))
     next_id = 1
     status = None
-    x_cols = np.array([mip.x_column(i, k)
-                       for i in range(1, mip.n + 1)
-                       for k in range(1, m + 1)], dtype=np.int64)
+    x_cols = np.arange(mip.n * m, dtype=np.int64)  # x_column(i, k), bin-major
 
     def node_lp(node: BnbNode):
         lb = std.base_lb.copy()
@@ -209,9 +207,9 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
 
     def effective_bounds(node: BnbNode, col: int):
         """Original-units bounds of a column under the node's overrides."""
-        var = mip.variables[col]
-        lo, hi = node.bounds.get(col, (var.lb, var.ub))
-        return max(lo, var.lb), min(hi, var.ub)
+        var_lb, var_ub = float(mip.lb[col]), float(mip.ub[col])
+        lo, hi = node.bounds.get(col, (var_lb, var_ub))
+        return max(lo, var_lb), min(hi, var_ub)
 
     def forced_assignment(node: BnbNode):
         """Clustering implied by a node whose binaries are all fixed, or
@@ -299,9 +297,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
         frac = np.abs(xvals - np.round(xvals))
         worst = int(np.argmax(frac))
         if frac[worst] <= INTEGRALITY_TOL:
-            values = {v.name: float(original[i])
-                      for i, v in enumerate(mip.variables)}
-            cand = clustering_from_solution(mip, values)
+            cand = clustering_from_solution(mip, original[: std.nstruct])
             before = primal
             better(cand)
             if cfg.heuristics.exchange and primal > before:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .bnb import SolverConfig, branch_and_bound
+from .bnb import NODE_SELECTIONS, SolverConfig, branch_and_bound
 from .clustering import objective
 from .errors import (
     CycleClustError,
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--time-limit", type=float, default=None)
     s.add_argument("--gap-tol", type=float, default=None)
     s.add_argument("--node-limit", type=int, default=None)
-    s.add_argument("--node-selection", choices=["best_bound", "dfs"], default=None)
+    s.add_argument("--node-selection", choices=NODE_SELECTIONS, default=None)
     s.add_argument("--emit-lp", action="store_true")
     s.set_defaults(func=cmd_solve)
 

@@ -100,15 +100,13 @@ def rounding_heuristic(mip, lp, W: FlowMatrix) -> CycleClustering | None:
     """
     n, m = mip.n, mip.m
     lp_values = lp.values if isinstance(lp, LpResult) else lp
-    x = np.empty((n, m))
     if isinstance(lp_values, dict):
+        x = np.empty((n, m))
         for i in range(n):
             for k in range(m):
                 x[i, k] = lp_values[f"x_{i + 1}_{k + 1}"]
     else:
-        arr = np.asarray(lp_values)
-        for i in range(n):
-            x[i] = arr[[mip.x_column(i + 1, k + 1) for k in range(m)]]
+        x = np.asarray(lp_values)[: n * m].reshape(n, m)  # x_column order
     assignment = np.argmax(x, axis=1) + 1
     q = W.entries
     try:

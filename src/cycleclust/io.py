@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnb import HeuristicsConfig, SolveResult, SolverConfig
+from .bnb import NODE_SELECTIONS, HeuristicsConfig, SolveResult, SolverConfig
 from .clustering import CycleClustering, ObjectiveValue
 from .errors import FileFormatError
 from .generate.multiway_cut import MultiwayCutInstance
@@ -46,7 +46,10 @@ def _read_matrix_body(lines, n, path):
 
 
 def read_transition_matrix(path) -> TransitionMatrix:
-    lines = Path(path).read_text().splitlines()
+    return _transition_matrix(Path(path).read_text().splitlines(), path)
+
+
+def _transition_matrix(lines, path) -> TransitionMatrix:
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     header = lines[0].split()
@@ -59,7 +62,10 @@ def read_transition_matrix(path) -> TransitionMatrix:
 
 
 def read_flow_matrix(path) -> FlowMatrix:
-    lines = Path(path).read_text().splitlines()
+    return _flow_matrix(Path(path).read_text().splitlines(), path)
+
+
+def _flow_matrix(lines, path) -> FlowMatrix:
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     header = lines[0].split()
@@ -71,10 +77,10 @@ def read_flow_matrix(path) -> FlowMatrix:
 
 def read_matrix(path):
     """Dispatch on the header token; returns TransitionMatrix or FlowMatrix."""
-    first = Path(path).read_text().split("\n", 1)[0]
-    if first.startswith("FM"):
-        return read_flow_matrix(path)
-    return read_transition_matrix(path)
+    lines = Path(path).read_text().splitlines()
+    if lines and lines[0].startswith("FM"):
+        return _flow_matrix(lines, path)
+    return _transition_matrix(lines, path)
 
 
 def write_clustering(path, c: CycleClustering, value: ObjectiveValue) -> None:
@@ -117,12 +123,21 @@ def write_solve_report(path, result: SolveResult) -> None:
 
 def read_solver_config(path) -> SolverConfig:
     doc = json.loads(Path(path).read_text())
+    for key in ("gap_tol", "time_limit_s", "node_limit"):
+        value = doc.get(key)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
+            raise FileFormatError(f"{path}: {key} must be a number, got {value!r}")
+    selection = doc.get("node_selection", "best_bound")
+    if selection not in NODE_SELECTIONS:
+        raise FileFormatError(f"{path}: node_selection must be one of "
+                              f"{', '.join(NODE_SELECTIONS)}, got {selection!r}")
     heur = doc.get("heuristics", {})
     return SolverConfig(
         gap_tol=float(doc.get("gap_tol", 1e-6)),
         time_limit_s=doc.get("time_limit_s"),
         node_limit=doc.get("node_limit"),
-        node_selection=doc.get("node_selection", "best_bound"),
+        node_selection=selection,
         heuristics=HeuristicsConfig(
             greedy=bool(heur.get("greedy", True)),
             rounding=bool(heur.get("rounding", True)),

@@ -1,21 +1,36 @@
 """Linearized cycle-clustering MIP: construction, LP text round-trip, extraction.
 
-Variable order is fixed and deterministic: assignment binaries x_i_k by
-(i, k), then flow products e_i_j_k by (i, j, k), coherence products c_i_j_k
-by (i < j, k), then f_1..f_m, then g_1..g_m. Product variables are only
-created for pairs whose coefficient is nonzero.
+The model is stored as arrays: per-column `lb`, `ub`, `obj` and `binary`,
+and per-row `senses` and `rhs` beside the CSR `matrix`. A model from
+`build_mip` lays its columns out in five blocks, in this fixed order:
+
+- x: assignment binaries x_i_k, column (i - 1) * m + (k - 1);
+- e: flow products e_i_j_k, m columns per ordered pair (i, j), d_ij != 0;
+- c: coherence products c_i_j_k, m columns per pair i < j with mass > 0;
+- f: f_1..f_m, the net flow into each cycle edge;
+- g: g_1..g_m, the coherence of each cluster.
+
+Each `ColumnBlock` keeps its offset and the 0-based pair arrays (i, j) it
+was built from, so a column's meaning is offset arithmetic. Rows follow
+the columns: assign_i, setcover_k, flowdef_k, cohdef_k, then for the e and
+then the c block its p1, p2 and p3 envelope rows, each in block column
+order.
+
+Names such as x_1_2 or p3_e_4_7_1 are formatted only where a name is the
+output: export_model, parse_model, MipInstance.constraint and
+column_index, solution_dict, solve_lp's values and error messages. Parsed
+and hand-made instances have no blocks and carry explicit name lists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .clustering import CycleClustering, objective, successor
+from .clustering import CycleClustering, objective
 from .errors import (
     FileFormatError,
     FractionalSolutionError,
@@ -29,65 +44,155 @@ INT_TOL = 1e-6
 OBJ_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str  # "binary" | "continuous"
-    lb: float
-    ub: float
-    obj: float
+def _labels(prefix: str, *indices: np.ndarray) -> np.ndarray:
+    """Object array of names prefix_a_b..., one per position of the 0-based
+    index arrays, printed 1-based."""
+    top = max((int(ix.max()) for ix in indices if ix.size), default=-1)
+    tails = np.array([f"_{t}" for t in range(1, top + 2)], dtype=object)
+    out = np.full(len(indices[0]), prefix, dtype=object)
+    for ix in indices:
+        out += tails[ix]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnBlock:
+    """Columns tag_i_j_k from `offset` on: a run of m columns (k = 1..m)
+    per entry of the 0-based pair arrays; one run when there are none.
+    In a product block, column tag_i_j_k stands for x_i_k * x_j_k', where
+    k' is k advanced by `shift` around the cycle."""
+
+    tag: str
+    offset: int
+    m: int
+    i: np.ndarray | None = None
+    j: np.ndarray | None = None
+    shift: int = 0
+
+    @property
+    def size(self) -> int:
+        return self.m * (1 if self.i is None else len(self.i))
+
+    def names(self, lo: int, hi: int) -> np.ndarray:
+        """Names of the block's local columns lo..hi-1."""
+        run, k = np.divmod(np.arange(lo, hi), self.m)
+        pairs = [ix[run] for ix in (self.i, self.j) if ix is not None]
+        return _labels(self.tag, *pairs, k)
+
+
+def _span_names(segments, lo: int, hi: int) -> np.ndarray:
+    """Names of positions lo..hi-1 from (start, count, names(a, b))
+    segments, where names(a, b) names a segment's local positions a..b-1."""
+    parts = []
+    for start, count, names in segments:
+        a, b = max(lo, start), min(hi, start + count)
+        if a < b:
+            parts.append(names(a - start, b - start))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=object)
 
 
 class MipInstance:
-    """Immutable catalog of variables plus sparse linear constraints."""
+    """Immutable model: column arrays plus sparse linear constraints.
 
-    def __init__(self, variables, con_names, matrix, senses, rhs,
-                 n, m, alpha, weights=None):
-        self.variables = list(variables)
-        self.con_names = list(con_names)
+    Give either `blocks` (a tag -> ColumnBlock mapping in column order, with
+    build_mip's row layout) or explicit `col_names` and `row_names`.
+    """
+
+    def __init__(self, matrix, senses, rhs, lb, ub, obj, binary, *, n, m,
+                 alpha, weights=None, blocks=None, col_names=None,
+                 row_names=None):
         self.matrix = matrix.tocsr()
         self.matrix.sort_indices()
         self.senses = np.asarray(senses, dtype="<U1")
         self.rhs = np.asarray(rhs, dtype=float)
+        self.lb = _read_only(lb, float)
+        self.ub = _read_only(ub, float)
+        self.obj = _read_only(obj, float)
+        self.binary = _read_only(binary, bool)
         self.n = n
         self.m = m
         self.alpha = alpha
         self.weights = weights
-        self.var_index = {v.name: i for i, v in enumerate(self.variables)}
+        self.blocks = blocks
+        if blocks is None:
+            if col_names is None or row_names is None:
+                raise ValueError("an instance without blocks needs column and row names")
+            self._col_names = _read_only(col_names, object)
+            self._row_names = _read_only(row_names, object)
+        shape = (len(self.senses), len(self.lb))
+        if self.matrix.shape != shape or len(self.rhs) != shape[0]:
+            raise ValueError(f"matrix shape {self.matrix.shape} does not match "
+                             f"{shape[0]} rows and {shape[1]} columns")
 
     @property
     def ncols(self) -> int:
-        return len(self.variables)
+        return len(self.lb)
 
     @property
     def nrows(self) -> int:
-        return len(self.con_names)
+        return self.matrix.shape[0]
 
-    def column_bounds(self):
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        return lb, ub
+    def column_names(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Names of columns lo..hi-1 as an object array."""
+        hi = self.ncols if hi is None else hi
+        if self.blocks is None:
+            return self._col_names[lo:hi]
+        return _span_names([(b.offset, b.size, b.names)
+                            for b in self.blocks.values()], lo, hi)
 
-    def column_objective(self) -> np.ndarray:
-        return np.array([v.obj for v in self.variables])
+    def row_names(self, lo: int = 0, hi: int | None = None,
+                  col_names: np.ndarray | None = None) -> np.ndarray:
+        """Names of rows lo..hi-1 as an object array. Envelope rows are
+        named after their product column; passing all `col_names` saves
+        formatting those again."""
+        hi = self.nrows if hi is None else hi
+        if self.blocks is None:
+            return self._row_names[lo:hi]
 
-    def binary_columns(self) -> np.ndarray:
-        return np.array([v.kind == "binary" for v in self.variables], dtype=bool)
+        def columns(a, b):
+            return self.column_names(a, b) if col_names is None else col_names[a:b]
+
+        n, m = self.n, self.m
+        segments, start = [], 0
+        for prefix, count in (("assign", n), ("setcover", m), ("flowdef", m), ("cohdef", m)):
+            segments.append((start, count,
+                             lambda a, b, p=prefix: _labels(p, np.arange(a, b))))
+            start += count
+        for tag in ("e", "c"):
+            at, size = self.blocks[tag].offset, self.blocks[tag].size
+            for t in (1, 2, 3):
+                segments.append((start, size,
+                                 lambda a, b, p=f"p{t}_", at=at: p + columns(at + a, at + b)))
+                start += size
+        return _span_names(segments, lo, hi)
+
+    def column_index(self, name: str) -> int:
+        hits = np.flatnonzero(self.column_names() == name)
+        if not hits.size:
+            raise KeyError(name)
+        return int(hits[0])
 
     def constraint(self, i):
         """(name, {column: coefficient}, sense, rhs) for row i."""
-        row = self.matrix.getrow(i)
-        coefs = {int(c): float(v) for c, v in zip(row.indices, row.data)}
-        return self.con_names[i], coefs, str(self.senses[i]), float(self.rhs[i])
+        lo, hi = self.matrix.indptr[i], self.matrix.indptr[i + 1]
+        coefs = {int(c): float(v) for c, v in zip(self.matrix.indices[lo:hi],
+                                                  self.matrix.data[lo:hi])}
+        return (str(self.row_names(i, i + 1)[0]), coefs, str(self.senses[i]),
+                float(self.rhs[i]))
 
     def x_column(self, i: int, k: int) -> int:
         """Column of the assignment binary for bin i, cluster k (1-based)."""
         return (i - 1) * self.m + (k - 1)
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 def _pairs_for_model(q: np.ndarray):
     """Ordered flow pairs (d != 0) and unordered coherence pairs (mass > 0)."""
-    n = q.shape[0]
     d = q - q.T
     ei, ej = np.nonzero(d != 0.0)
     keep = ei != ej
@@ -102,7 +207,7 @@ def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     """Assemble the linearized clustering model for a fixed cluster count.
 
     Emits assignment and covering rows, flow/coherence defining equalities
-    over product variables, all four bounding rows per product, and the
+    over product variables, all three bounding rows per product, and the
     symmetry-breaking fix x_1_1 = 1.
     """
     n = W.n
@@ -114,119 +219,91 @@ def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     d = q - q.T
     epairs, cpairs = _pairs_for_model(q)
     ne, nc = len(epairs), len(cpairs)
-
     off_e = n * m
     off_c = off_e + ne * m
     off_f = off_c + nc * m
     off_g = off_f + m
     ncols = off_g + m
+    blocks = {
+        "x": ColumnBlock("x", 0, m, np.arange(n)),
+        "e": ColumnBlock("e", off_e, m, epairs[:, 0], epairs[:, 1], shift=1),
+        "c": ColumnBlock("c", off_c, m, cpairs[:, 0], cpairs[:, 1]),
+        "f": ColumnBlock("f", off_f, m),
+        "g": ColumnBlock("g", off_g, m),
+    }
+    ks = np.arange(m)
 
-    variables = []
-    for i in range(1, n + 1):
-        for k in range(1, m + 1):
-            fixed = i == 1 and k == 1
-            variables.append(Variable(f"x_{i}_{k}", "binary",
-                                      1.0 if fixed else 0.0, 1.0, 0.0))
-    for i0, j0 in epairs:
-        for k in range(1, m + 1):
-            variables.append(Variable(f"e_{i0 + 1}_{j0 + 1}_{k}", "continuous",
-                                      0.0, 1.0, 0.0))
-    for i0, j0 in cpairs:
-        for k in range(1, m + 1):
-            variables.append(Variable(f"c_{i0 + 1}_{j0 + 1}_{k}", "continuous",
-                                      0.0, 1.0, 0.0))
-    for k in range(1, m + 1):
-        variables.append(Variable(f"f_{k}", "continuous", 0.0, math.inf, 1.0))
-    for k in range(1, m + 1):
-        variables.append(Variable(f"g_{k}", "continuous", 0.0, math.inf, alpha))
+    lb = np.zeros(ncols)
+    lb[0] = 1.0  # x_1_1
+    ub = np.ones(ncols)
+    ub[off_f:] = math.inf
+    obj = np.zeros(ncols)
+    obj[off_f:off_g] = 1.0
+    obj[off_g:] = alpha
+    binary = np.zeros(ncols, dtype=bool)
+    binary[:off_e] = True
 
+    # (rows, cols, vals) triplets; within-row order is irrelevant because
+    # the CSR matrix is sorted
     rows, cols, vals = [], [], []
-    con_names, senses, rhs = [], [], []
-
-    def add_row(name, sense, b, row_cols, row_vals):
-        idx = len(con_names)
-        con_names.append(name)
-        senses.append(sense)
-        rhs.append(b)
-        rows.append(np.full(len(row_cols), idx, dtype=np.int64))
-        cols.append(np.asarray(row_cols, dtype=np.int64))
-        vals.append(np.asarray(row_vals, dtype=float))
-
-    for i in range(1, n + 1):
-        add_row(f"assign_{i}", "E", 1.0,
-                [(i - 1) * m + k for k in range(m)], np.ones(m))
-    for k in range(1, m + 1):
-        add_row(f"setcover_{k}", "G", 1.0,
-                [(i0) * m + (k - 1) for i0 in range(n)], np.ones(n))
-    for k in range(1, m + 1):
-        e_cols = off_e + np.arange(ne) * m + (k - 1)
-        coef = np.concatenate([[1.0], -d[epairs[:, 0], epairs[:, 1]]]) if ne \
-            else np.array([1.0])
-        col_list = np.concatenate([[off_f + k - 1], e_cols]) if ne \
-            else np.array([off_f + k - 1])
-        add_row(f"flowdef_{k}", "E", 0.0, col_list, coef)
+    # assign_i: sum_k x_i_k = 1
+    rows.append(np.repeat(np.arange(n), m))
+    cols.append(np.arange(n * m))
+    vals.append(np.ones(n * m))
+    # setcover_k: sum_i x_i_k >= 1
+    rows.append(n + np.tile(ks, n))
+    cols.append(np.arange(n * m))
+    vals.append(np.ones(n * m))
+    # flowdef_k: f_k - sum_(i,j) d_ij e_i_j_k = 0
+    rows.append(n + m + np.concatenate([ks, np.tile(ks, ne)]))
+    cols.append(np.concatenate([off_f + ks, off_e + np.arange(ne * m)]))
+    vals.append(np.concatenate([np.ones(m),
+                                np.repeat(-d[epairs[:, 0], epairs[:, 1]], m)]))
+    # cohdef_k: g_k - sum_i q_ii x_i_k - sum_(i<j) (q_ij + q_ji) c_i_j_k = 0
     qdiag = np.diag(q)
     diag_bins = np.nonzero(qdiag != 0.0)[0]
-    for k in range(1, m + 1):
-        c_cols = off_c + np.arange(nc) * m + (k - 1)
-        x_cols = diag_bins * m + (k - 1)
-        col_list = np.concatenate([[off_g + k - 1], x_cols, c_cols])
-        coef = np.concatenate([[1.0], -qdiag[diag_bins],
-                               -(q[cpairs[:, 0], cpairs[:, 1]]
-                                 + q[cpairs[:, 1], cpairs[:, 0]]) if nc
-                               else np.empty(0)])
-        add_row(f"cohdef_{k}", "E", 0.0, col_list, coef)
+    rows.append(n + 2 * m + np.concatenate([
+        ks, np.tile(ks, len(diag_bins)), np.tile(ks, nc)]))
+    cols.append(np.concatenate([
+        off_g + ks, (diag_bins[:, None] * m + ks).ravel(),
+        off_c + np.arange(nc * m)]))
+    vals.append(np.concatenate([
+        np.ones(m), np.repeat(-qdiag[diag_bins], m),
+        np.repeat(-(q[cpairs[:, 0], cpairs[:, 1]] + q[cpairs[:, 1], cpairs[:, 0]]), m)]))
 
-    def add_product_rows(tag, pair_array, offset, partner_cluster):
-        npairs = len(pair_array)
-        if npairs == 0:
-            return
-        p = np.repeat(np.arange(npairs), m)
-        k0 = np.tile(np.arange(m), npairs)
-        var = offset + p * m + k0
-        i0 = pair_array[p, 0]
-        j0 = pair_array[p, 1]
-        xa = i0 * m + k0
-        xb = j0 * m + partner_cluster(k0)
-        base = len(con_names)
-        nv = npairs * m
-        for t, (name_fmt, sense, b) in enumerate([
-            ("p1_{}", "L", 0.0), ("p2_{}", "L", 0.0), ("p3_{}", "G", -1.0),
-        ]):
-            con_names.extend(
-                name_fmt.format(f"{tag}_{i + 1}_{j + 1}_{k + 1}")
-                for i, j, k in zip(i0, j0, k0)
-            )
-            senses.extend([sense] * nv)
-            rhs.extend([b] * nv)
-        # rows interleave per variable: p1, p2, p3 blocks for variable t
-        r1 = base + 0 * nv + np.arange(nv)
-        r2 = base + 1 * nv + np.arange(nv)
-        r3 = base + 2 * nv + np.arange(nv)
+    # envelope rows of each product v = x_a * x_b, block by block:
+    # p1: v - x_a <= 0, p2: v - x_b <= 0, p3: v - x_a - x_b >= -1
+    base = n + 3 * m
+    for block in (blocks["e"], blocks["c"]):
+        nv = block.size
+        run, k0 = np.divmod(np.arange(nv), m)
+        var = block.offset + np.arange(nv)
+        xa = block.i[run] * m + k0
+        xb = block.j[run] * m + (k0 + block.shift) % m
+        r1 = base + np.arange(nv)
+        r2, r3 = r1 + nv, r1 + 2 * nv
         rows.append(np.concatenate([r1, r1, r2, r2, r3, r3, r3]))
         cols.append(np.concatenate([var, xa, var, xb, var, xa, xb]))
-        vals.append(np.concatenate([
-            np.ones(nv), -np.ones(nv),
-            np.ones(nv), -np.ones(nv),
-            np.ones(nv), -np.ones(nv), -np.ones(nv),
-        ]))
+        vals.append(np.concatenate([np.ones(nv), -np.ones(nv), np.ones(nv), -np.ones(nv),
+                                    np.ones(nv), -np.ones(nv), -np.ones(nv)]))
+        base += 3 * nv
 
-    add_product_rows("e", epairs, off_e, lambda k0: (k0 + 1) % m)
-    add_product_rows("c", cpairs, off_c, lambda k0: k0)
-
+    counts = [n, m, m, m, ne * m, ne * m, ne * m, nc * m, nc * m, nc * m]
+    senses = np.repeat(np.array(list("EGEELLGLLG")), counts)
+    rhs = np.repeat([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0], counts)
     matrix = csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(con_names), ncols),
+        shape=(base, ncols),
     )
-    return MipInstance(variables, con_names, matrix, senses, rhs,
-                       n=n, m=m, alpha=alpha, weights=W)
+    return MipInstance(matrix, senses, rhs, lb, ub, obj, binary, n=n, m=m,
+                       alpha=alpha, weights=W, blocks=blocks)
 
 
-def model_objective_value(mip: MipInstance, values: Mapping[str, float]) -> float:
+def model_objective_value(mip: MipInstance, values: np.ndarray) -> float:
+    """Objective of column-order `values`."""
     total = 0.0
-    for v in mip.variables:
-        if v.obj != 0.0:
-            total += v.obj * values[v.name]
+    for col in np.flatnonzero(mip.obj):
+        total += float(mip.obj[col]) * float(values[col])
     return total
 
 
@@ -238,45 +315,42 @@ def solution_values(mip: MipInstance, c: CycleClustering) -> np.ndarray:
     """
     n, m = mip.n, mip.m
     out = np.zeros(mip.ncols)
-    for i in range(1, n + 1):
-        out[mip.x_column(i, int(c.assignment[i - 1]))] = 1.0
-    for name, col in mip.var_index.items():
-        if name.startswith(("e_", "c_")):
-            _, i, j, k = name.split("_")
-            i, j, k = int(i), int(j), int(k)
-            partner = successor(k, m) if name.startswith("e_") else k
-            out[col] = out[mip.x_column(i, k)] * out[mip.x_column(j, partner)]
-    csc = mip.matrix.tocsc()
-    # f_k/g_k each appear in exactly one row, with coefficient 1
-    for k in range(1, m + 1):
-        for name in (f"f_{k}", f"g_{k}"):
-            col = mip.var_index[name]
-            row = int(csc.indices[csc.indptr[col]:csc.indptr[col + 1]][0])
-            r = mip.matrix.getrow(row)
-            acc = float(r.data @ out[r.indices]) - out[col]
+    x = np.zeros((n, m))
+    x[np.arange(n), np.asarray(c.assignment) - 1] = 1.0
+    out[:n * m] = x.ravel()
+    for block in (mip.blocks["e"], mip.blocks["c"]):
+        products = x[block.i] * x[block.j][:, (np.arange(m) + block.shift) % m]
+        out[block.offset:block.offset + block.size] = products.ravel()
+    mat = mip.matrix
+    # f_k (g_k) appears only in flowdef_k (cohdef_k), with coefficient 1
+    for tag, first_row in (("f", n + m), ("g", n + 2 * m)):
+        for k in range(m):
+            col, row = mip.blocks[tag].offset + k, first_row + k
+            lo, hi = mat.indptr[row], mat.indptr[row + 1]
+            acc = float(mat.data[lo:hi] @ out[mat.indices[lo:hi]]) - out[col]
             out[col] = mip.rhs[row] - acc
     return out
 
 
 def solution_dict(mip: MipInstance, c: CycleClustering) -> dict:
-    vals = solution_values(mip, c)
-    return {v.name: float(vals[i]) for i, v in enumerate(mip.variables)}
+    return dict(zip(mip.column_names().tolist(),
+                    solution_values(mip, c).tolist()))
 
 
-def clustering_from_solution(mip: MipInstance, values: Mapping[str, float]) -> CycleClustering:
+def clustering_from_solution(mip: MipInstance, values: np.ndarray) -> CycleClustering:
     """Round a near-binary solution to a clustering and cross-check it.
 
-    The recomputed objective must agree with the model objective implied by
-    `values`; disagreement signals a linearization bug.
+    `values` is in column order. The recomputed objective must agree with
+    the model objective implied by `values`; disagreement signals a
+    linearization bug.
     """
     n, m = mip.n, mip.m
-    x = np.empty((n, m))
-    for i in range(1, n + 1):
-        for k in range(1, m + 1):
-            v = float(values[f"x_{i}_{k}"])
-            if abs(v - round(v)) > INT_TOL or round(v) not in (0.0, 1.0):
-                raise FractionalSolutionError(f"x_{i}_{k}", v)
-            x[i - 1, k - 1] = round(v)
+    raw = np.asarray(values, dtype=float)[:n * m].reshape(n, m)  # the x block
+    x = np.round(raw)
+    off = (np.abs(raw - x) > INT_TOL) | ((x != 0.0) & (x != 1.0))
+    if off.any():
+        i, k = np.argwhere(off)[0]
+        raise FractionalSolutionError(f"x_{i + 1}_{k + 1}", float(raw[i, k]))
     row_sums = x.sum(axis=1)
     bad = np.nonzero(np.abs(row_sums - 1.0) > INT_TOL)[0]
     if bad.size:
@@ -303,6 +377,12 @@ def clustering_from_solution(mip: MipInstance, values: Mapping[str, float]) -> C
 
 _SENSE_SYMBOL = {"L": "<=", "G": ">=", "E": "="}
 _SYMBOL_SENSE = {v: k for k, v in _SENSE_SYMBOL.items()}
+# Text is built as object arrays of string pieces joined once per chunk of
+# rows or columns: whole-model piece arrays would cost more memory than the
+# model itself.
+_CHUNK = 32768
+# term sign by (first term of its row, negative coefficient)
+_SIGNS = np.array([" + ", " - ", "", "- "], dtype=object)
 
 
 def _num(v: float) -> str:
@@ -311,49 +391,95 @@ def _num(v: float) -> str:
     return repr(float(v))
 
 
-def _terms(pairs) -> str:
-    parts = []
-    for idx, (name, coef) in enumerate(pairs):
-        mag = abs(coef)
-        body = name if mag == 1.0 else f"{_num(mag)} {name}"
-        if idx == 0:
-            parts.append(body if coef > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-    return " ".join(parts)
+def _num_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values formatted by _num, index of each entry among them)."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    return np.array([_num(float(u)) for u in uniq], dtype=object), inv
+
+
+def _rows_text(head, tail, indptr, cols, vals, names) -> str:
+    """One line per row of a CSR slice whose `indptr` starts at 0: the
+    `head` pieces (strings or per-row arrays), the terms, then the per-row
+    `tail`. A term is its sign, its coefficient unless that is 1, and the
+    column name."""
+    nrows, nnz, width = len(tail), len(cols), len(head) + 1
+    counts = np.diff(indptr)
+    first = np.zeros(nnz, dtype=bool)
+    first[indptr[:-1][counts > 0]] = True
+    mags, inv = np.unique(np.abs(vals), return_inverse=True)
+    coef = np.array(["" if u == 1.0 else _num(float(u)) + " " for u in mags],
+                    dtype=object)
+    leads = (_SIGNS[None, :] + coef[:, None]).ravel()
+    # row r takes `width` pieces for head and tail plus two per term (lead
+    # and name), so it starts at 2 * indptr[r] + width * r
+    skip = width * np.arange(nrows)
+    row_at = 2 * indptr[:-1] + skip
+    lead_at = 2 * np.arange(nnz) + np.repeat(skip, counts) + len(head)
+    pieces = np.empty(2 * nnz + width * nrows, dtype=object)
+    for p, piece in enumerate(head):
+        pieces[row_at + p] = piece
+    pieces[lead_at] = leads[4 * inv + 2 * first + ~(vals > 0)]
+    pieces[lead_at + 1] = names[cols]
+    pieces[row_at + width - 1 + 2 * counts] = tail
+    return "".join(pieces.tolist())
+
+
+def _bounds_text(names, lb, ub) -> str:
+    """Bounds-section lines of the given columns."""
+    fixed = lb == ub
+    if np.any(fixed & np.isinf(lb)):
+        raise ValueError("a column is fixed at an infinite value")
+    # infinite bounds are never printed; 0 stands in so _num can run
+    lo, lo_at = _num_strings(np.where(np.isinf(lb), 0.0, lb))
+    hi, hi_at = _num_strings(np.where(np.isinf(ub), 0.0, ub))
+    lo, hi = lo[lo_at], hi[hi_at]
+    free = ~fixed & np.isinf(lb) & np.isinf(ub)
+    lower_only = ~fixed & ~np.isinf(lb) & np.isinf(ub)
+    upper_only = ~fixed & np.isinf(lb) & ~np.isinf(ub)
+    ranged = ~(fixed | free | lower_only | upper_only)
+    lines = np.empty(len(names), dtype=object)
+    for mask, parts in (
+        (fixed, (" ", names, " = ", lo)),
+        (free, (" ", names, " free")),
+        (lower_only, (" ", names, " >= ", lo)),
+        (upper_only, (" ", names, " <= ", hi)),
+        (ranged, (" ", lo, " <= ", names, " <= ", hi)),
+    ):
+        line = np.full(int(mask.sum()), "", dtype=object)
+        for part in parts:
+            line += part if isinstance(part, str) else part[mask]
+        lines[mask] = line + "\n"
+    return "".join(lines.tolist())
 
 
 def export_model(mip: MipInstance) -> str:
     """Deterministic LP-format text; parse_model inverts it exactly."""
-    lines = ["Maximize"]
-    obj_terms = [(v.name, v.obj) for v in mip.variables if v.obj != 0.0]
-    lines.append(f" obj: {_terms(obj_terms)}")
-    lines.append("Subject To")
+    names = mip.column_names()
+    obj_cols = np.flatnonzero(mip.obj)
+    out = ["Maximize\n",
+           _rows_text([" obj: "], np.array(["\n"], dtype=object),
+                      np.array([0, len(obj_cols)]), obj_cols, mip.obj[obj_cols], names),
+           "Subject To\n"]
     mat = mip.matrix
-    for r in range(mip.nrows):
-        lo, hi = mat.indptr[r], mat.indptr[r + 1]
-        pairs = [(mip.variables[c].name, float(v))
-                 for c, v in zip(mat.indices[lo:hi], mat.data[lo:hi])]
-        sym = _SENSE_SYMBOL[str(mip.senses[r])]
-        lines.append(f" {mip.con_names[r]}: {_terms(pairs)} {sym} {_num(mip.rhs[r])}")
-    lines.append("Bounds")
-    for v in mip.variables:
-        if v.lb == v.ub:
-            lines.append(f" {v.name} = {_num(v.lb)}")
-        elif math.isinf(v.ub) and math.isinf(v.lb):
-            lines.append(f" {v.name} free")
-        elif math.isinf(v.ub):
-            lines.append(f" {v.name} >= {_num(v.lb)}")
-        elif math.isinf(v.lb):
-            lines.append(f" {v.name} <= {_num(v.ub)}")
-        else:
-            lines.append(f" {_num(v.lb)} <= {v.name} <= {_num(v.ub)}")
-    lines.append("Binaries")
-    for v in mip.variables:
-        if v.kind == "binary":
-            lines.append(f" {v.name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    for lo in range(0, mip.nrows, _CHUNK):
+        hi = min(lo + _CHUNK, mip.nrows)
+        a, b = mat.indptr[lo], mat.indptr[hi]
+        kinds, kind_at = np.unique(mip.senses[lo:hi], return_inverse=True)
+        rhs, rhs_at = _num_strings(mip.rhs[lo:hi])
+        symbols = np.array([f" {_SENSE_SYMBOL[str(s)]} " for s in kinds], dtype=object)
+        tails = (symbols[:, None] + rhs[None, :] + "\n").ravel()
+        out.append(_rows_text([" ", mip.row_names(lo, hi, names), ": "],
+                              tails[kind_at * len(rhs) + rhs_at],
+                              mat.indptr[lo:hi + 1] - a, mat.indices[a:b],
+                              mat.data[a:b], names))
+    out.append("Bounds\n")
+    for lo in range(0, mip.ncols, _CHUNK):
+        hi = min(lo + _CHUNK, mip.ncols)
+        out.append(_bounds_text(names[lo:hi], mip.lb[lo:hi], mip.ub[lo:hi]))
+    out.append("Binaries\n")
+    out.extend(f" {name}\n" for name in names[mip.binary].tolist())
+    out.append("End\n")
+    return "".join(out)
 
 
 def _parse_terms(tokens):
@@ -439,18 +565,10 @@ def parse_model(text: str) -> MipInstance:
             raise FileFormatError(f"content before Maximize: {line!r}")
 
     obj_map = dict(obj_pairs)
-    variables = [
-        Variable(name, "binary" if name in binaries else "continuous",
-                 lb, ub, obj_map.get(name, 0.0))
-        for name, lb, ub in bounds
-    ]
-    index = {v.name: i for i, v in enumerate(variables)}
+    col_names = [name for name, _, _ in bounds]
+    index = {name: c for c, name in enumerate(col_names)}
     rows, cols, vals = [], [], []
-    con_names, senses, rhs = [], [], []
-    for r, (name, pairs, sense, b) in enumerate(constraints):
-        con_names.append(name)
-        senses.append(sense)
-        rhs.append(b)
+    for r, (_, pairs, _, _) in enumerate(constraints):
         for var_name, coef in pairs:
             if var_name not in index:
                 raise FileFormatError(f"constraint references unknown {var_name!r}")
@@ -458,22 +576,27 @@ def parse_model(text: str) -> MipInstance:
             cols.append(index[var_name])
             vals.append(coef)
     matrix = csr_matrix((vals, (rows, cols)),
-                        shape=(len(con_names), len(variables)))
-    xs = [v.name for v in variables if v.name.startswith("x_")]
+                        shape=(len(constraints), len(col_names)))
+    xs = [name for name in col_names if name.startswith("x_")]
     n = max((int(s.split("_")[1]) for s in xs), default=0)
     m = max((int(s.split("_")[2]) for s in xs), default=0)
     alpha = obj_map.get("g_1", None)
-    return MipInstance(variables, con_names, matrix, senses, rhs,
-                       n=n, m=m, alpha=alpha, weights=None)
+    return MipInstance(
+        matrix, [c[2] for c in constraints], [c[3] for c in constraints],
+        [lb for _, lb, _ in bounds], [ub for _, _, ub in bounds],
+        [obj_map.get(name, 0.0) for name in col_names],
+        [name in binaries for name in col_names],
+        n=n, m=m, alpha=alpha, weights=None,
+        col_names=col_names, row_names=[c[0] for c in constraints])
 
 
 def structurally_equal(a: MipInstance, b: MipInstance) -> bool:
     """Exact equality of names, kinds, bounds, objective, rows and senses."""
-    if a.variables != b.variables:
-        return False
-    if a.con_names != b.con_names or not np.array_equal(a.senses, b.senses):
-        return False
-    if not np.array_equal(a.rhs, b.rhs):
+    for attr in ("lb", "ub", "obj", "binary", "senses", "rhs"):
+        if not np.array_equal(getattr(a, attr), getattr(b, attr)):
+            return False
+    if not (np.array_equal(a.column_names(), b.column_names())
+            and np.array_equal(a.row_names(), b.row_names())):
         return False
     am, bm = a.matrix, b.matrix
     return (am.shape == bm.shape

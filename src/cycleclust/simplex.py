@@ -98,19 +98,13 @@ class StandardLp:
         self.nstruct = mip.ncols
         self.nrows = nrows
         self.ncols = self.nstruct + 2 * nrows
-        lb, ub = mip.column_bounds()
-        slack_lb = np.zeros(nrows)
-        slack_ub = np.zeros(nrows)
-        for i, s in enumerate(mip.senses):
-            if s == "L":
-                slack_ub[i] = math.inf
-            elif s == "G":
-                slack_lb[i] = -math.inf
-            # "E": slack fixed at zero
+        # "E" rows keep their slack fixed at zero
+        slack_lb = np.where(mip.senses == "G", -math.inf, 0.0)
+        slack_ub = np.where(mip.senses == "L", math.inf, 0.0)
         art = np.zeros(nrows)
-        raw_lb = np.concatenate([lb, slack_lb, art])
-        raw_ub = np.concatenate([ub, slack_ub, art])
-        raw_c = np.concatenate([mip.column_objective(), np.zeros(2 * nrows)])
+        raw_lb = np.concatenate([mip.lb, slack_lb, art])
+        raw_ub = np.concatenate([mip.ub, slack_ub, art])
+        raw_c = np.concatenate([mip.obj, np.zeros(2 * nrows)])
         raw_b = np.asarray(mip.rhs, dtype=float)
         self.row_scale, self.col_scale = _equilibrate(raw)
         a = raw.copy()
@@ -481,13 +475,13 @@ class SimplexEngine:
             raise NumericalFailureError("reduced-cost sign violation at claimed optimum")
 
 
-def _apply_overrides(std: StandardLp, overrides, var_index) -> tuple[np.ndarray, np.ndarray]:
+def _apply_overrides(std: StandardLp, overrides, mip) -> tuple[np.ndarray, np.ndarray]:
     """Scaled bound arrays with original-units overrides tightened in."""
     lb = std.base_lb.copy()
     ub = std.base_ub.copy()
     if overrides:
         for key, (lo, hi) in overrides.items():
-            j = var_index[key] if isinstance(key, str) else int(key)
+            j = mip.column_index(key) if isinstance(key, str) else int(key)
             if lo is not None:
                 lb[j] = max(lb[j], std.scale_bound(j, lo))
             if hi is not None:
@@ -504,7 +498,7 @@ def solve_lp(mip, bounds=None, iter_limit: int | None = None,
     once from scratch before surfacing.
     """
     std = StandardLp(mip)
-    lb, ub = _apply_overrides(std, bounds, mip.var_index)
+    lb, ub = _apply_overrides(std, bounds, mip)
     deadline = time.monotonic() + time_limit_s if time_limit_s is not None else None
     last_error = None
     for attempt in range(2):
@@ -529,4 +523,4 @@ def solve_lp(mip, bounds=None, iter_limit: int | None = None,
 
 def _value_dict(mip, engine: SimplexEngine) -> dict:
     orig = engine.original_values()
-    return {v.name: float(orig[i]) for i, v in enumerate(mip.variables)}
+    return dict(zip(mip.column_names().tolist(), orig[: mip.ncols].tolist()))

@@ -18,10 +18,10 @@ TOL = 1e-9
 
 def tableau_lp_max(mip) -> float:
     """Optimal value of the continuous relaxation of `mip` (maximization)."""
-    lb, ub = mip.column_bounds()
+    lb, ub = mip.lb, mip.ub
     if not np.all(np.isfinite(lb)):
         raise ValueError("oracle assumes finite lower bounds")
-    c = mip.column_objective()
+    c = mip.obj
     a = mip.matrix.toarray()
     rhs = mip.rhs - a @ lb  # substitute v = lb + v'
     rows = [(a[i], str(mip.senses[i]), rhs[i]) for i in range(mip.nrows)]

@@ -27,7 +27,7 @@ from cycleclust.generate import (
 )
 from cycleclust.heuristics import brute_force
 from cycleclust.markov import flow_matrix, project, stationary_distribution, validate_stochastic
-from cycleclust.mip import build_mip, model_objective_value, solution_dict
+from cycleclust.mip import build_mip, model_objective_value, solution_values
 
 from test_multiway_cut import random_graph
 from util import random_chain, random_clustering
@@ -210,7 +210,7 @@ def test_criterion_7_linearization_exactness():
             if len(set(labels.tolist())) < 3:
                 continue
             c = CycleClustering(n=n, m=3, assignment=labels)
-            values = solution_dict(mip, c)
+            values = solution_values(mip, c)
             direct = objective(w, c, ALPHA)
             assert model_objective_value(mip, values) == pytest.approx(
                 direct.total, abs=1e-10)

@@ -59,13 +59,13 @@ def test_infeasible_root_reported_without_incumbent():
     _, _, w = random_chain(5, 33)
     mip = build_mip(w, 3, 0.001)
     # lower bound 1 against upper bound 0: the root relaxation is empty
-    from cycleclust.mip import MipInstance, Variable
-    variables = list(mip.variables)
-    old = variables[mip.var_index["x_1_1"]]
-    variables[mip.var_index["x_1_1"]] = Variable(old.name, old.kind, 1.0, 0.0, old.obj)
-    broken = MipInstance(variables, mip.con_names, mip.matrix, mip.senses,
-                         mip.rhs, n=mip.n, m=mip.m, alpha=mip.alpha,
-                         weights=mip.weights)
+    from cycleclust.mip import MipInstance
+    col = mip.column_index("x_1_1")
+    lb, ub = mip.lb.copy(), mip.ub.copy()
+    lb[col], ub[col] = 1.0, 0.0
+    broken = MipInstance(mip.matrix, mip.senses, mip.rhs, lb, ub, mip.obj,
+                         mip.binary, n=mip.n, m=mip.m, alpha=mip.alpha,
+                         weights=mip.weights, blocks=mip.blocks)
     cfg = SolverConfig(heuristics=HeuristicsConfig(False, False, False))
     res = branch_and_bound(broken, w, cfg)
     assert res.status == "infeasible"

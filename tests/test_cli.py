@@ -205,6 +205,16 @@ def test_config_file_drives_solver(tmp_path):
     assert manifest["config"] == str(cfg)
 
 
+def test_config_with_unknown_node_selection_is_a_usage_error(tmp_path):
+    out = tmp_path / "tri"
+    run("generate", "triangle", "--out", out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"node_selection": "DFS"}')
+    assert run("solve", out / "matrix.fm", "-m", 3, "--out", tmp_path / "sol",
+               "--config", cfg) == 2
+    assert not (tmp_path / "sol" / "report.json").exists()
+
+
 def test_manifest_reproducibility(tmp_path):
     reports = []
     for sub in ("one", "two"):

@@ -113,3 +113,17 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     io.write_manifest(path, doc)
     assert io.read_manifest(path) == doc
+
+
+@pytest.mark.parametrize("doc", [
+    '{"node_selection": "DFS"}',
+    '{"node_selection": "breadth_first"}',
+    '{"gap_tol": "tight"}',
+    '{"time_limit_s": "60"}',
+    '{"node_limit": true}',
+])
+def test_solver_config_rejects_unknown_values(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    with pytest.raises(FileFormatError):
+        io.read_solver_config(path)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cycleclust.mip import (
     model_objective_value,
     parse_model,
     solution_dict,
+    solution_values,
     structurally_equal,
 )
 
@@ -45,10 +47,10 @@ class TestBuildMip:
     def test_small_model_counts(self):
         _, _, w = random_chain(3, 1)
         mip = build_mip(w, 3, 0.001)
-        assert sum(1 for c in mip.con_names if c.startswith("assign_")) == 3
-        assert sum(1 for c in mip.con_names if c.startswith("setcover_")) == 3
-        x11 = mip.variables[mip.var_index["x_1_1"]]
-        assert (x11.lb, x11.ub) == (1.0, 1.0)
+        assert sum(1 for c in mip.row_names() if c.startswith("assign_")) == 3
+        assert sum(1 for c in mip.row_names() if c.startswith("setcover_")) == 3
+        x11 = mip.column_index("x_1_1")
+        assert (mip.lb[x11], mip.ub[x11]) == (1.0, 1.0)
         # with bin 1 fixed, exactly two feasible assignments remain
         feasible = 0
         for tail in itertools.product((1, 2, 3), repeat=2):
@@ -60,13 +62,13 @@ class TestBuildMip:
     def test_symmetric_matrix_has_no_flow_products(self):
         w = symmetric_flow(5, 2)
         mip = build_mip(w, 3, 0.001)
-        assert not any(v.name.startswith("e_") for v in mip.variables)
+        assert not any(name.startswith("e_") for name in mip.column_names())
         # flow-defining rows then pin f_k to zero
         for k in (1, 2, 3):
             name, coefs, sense, rhs = mip.constraint(
-                mip.con_names.index(f"flowdef_{k}"))
+                mip.row_names().tolist().index(f"flowdef_{k}"))
             assert sense == "E" and rhs == 0.0
-            assert list(coefs) == [mip.var_index[f"f_{k}"]]
+            assert list(coefs) == [mip.column_index(f"f_{k}")]
 
     def test_variable_count_formulas(self):
         for seed in (3, 4):
@@ -75,8 +77,8 @@ class TestBuildMip:
             q = w.entries
             m = 3
             mip = build_mip(w, m, 0.001)
-            ne = sum(1 for v in mip.variables if v.name.startswith("e_"))
-            nc = sum(1 for v in mip.variables if v.name.startswith("c_"))
+            ne = sum(1 for name in mip.column_names() if name.startswith("e_"))
+            nc = sum(1 for name in mip.column_names() if name.startswith("c_"))
             expect_e = m * sum(1 for i in range(n) for j in range(n)
                                if i != j and q[i, j] != q[j, i])
             expect_c = m * sum(1 for i in range(n) for j in range(i + 1, n)
@@ -90,14 +92,14 @@ class TestBuildMip:
         for n, seed in ((5, 5), (6, 6)):
             _, _, w = random_chain(n, seed)
             mip = build_mip(w, 3, 0.001)
-            lb, ub = mip.column_bounds()
+            lb, ub = mip.lb, mip.ub
             for tail in itertools.product((1, 2, 3), repeat=n - 1):
                 labels = np.array((1,) + tail)
                 if len(set(labels.tolist())) < 3:
                     continue
                 c = CycleClustering(n=n, m=3, assignment=labels)
                 vals = solution_dict(mip, c)
-                arr = np.array([vals[v.name] for v in mip.variables])
+                arr = np.array([vals[name] for name in mip.column_names()])
                 lhs = mip.matrix @ arr
                 for r in range(mip.nrows):
                     s = str(mip.senses[r])
@@ -114,7 +116,7 @@ class TestBuildMip:
                     assert vals[f"f_{k}"] == pytest.approx(f_expected, abs=1e-10)
                     assert vals[f"g_{k}"] == pytest.approx(g_expected, abs=1e-10)
                 direct = objective(w, c, 0.001)
-                assert model_objective_value(mip, vals) == pytest.approx(
+                assert model_objective_value(mip, arr) == pytest.approx(
                     direct.total, abs=1e-10)
 
 
@@ -161,7 +163,7 @@ class TestClusteringFromSolution:
         _, _, w = random_chain(5, 10)
         mip = build_mip(w, 3, 0.001)
         c = CycleClustering(n=5, m=3, assignment=np.array([1, 2, 3, 1, 2]))
-        vals = solution_dict(mip, c)
+        vals = solution_values(mip, c)
         out = clustering_from_solution(mip, vals)
         assert out.assignment.tolist() == c.assignment.tolist()
 
@@ -169,9 +171,9 @@ class TestClusteringFromSolution:
         _, _, w = random_chain(4, 11)
         mip = build_mip(w, 3, 0.001)
         c = CycleClustering(n=4, m=3, assignment=np.array([1, 2, 3, 1]))
-        vals = solution_dict(mip, c)
+        vals = solution_values(mip, c)
         for k in (1, 2, 3):
-            vals[f"x_2_{k}"] = 1.0 / 3.0
+            vals[mip.x_column(2, k)] = 1.0 / 3.0
         with pytest.raises(FractionalSolutionError):
             clustering_from_solution(mip, vals)
 
@@ -179,10 +181,10 @@ class TestClusteringFromSolution:
         _, _, w = random_chain(4, 12)
         mip = build_mip(w, 3, 0.001)
         c = CycleClustering(n=4, m=3, assignment=np.array([1, 2, 3, 1]))
-        vals = solution_dict(mip, c)
+        vals = solution_values(mip, c)
         # move bin 3 from cluster 3 to cluster 2: setcover_3 now violated
-        vals["x_3_3"] = 0.0
-        vals["x_3_2"] = 1.0
+        vals[mip.x_column(3, 3)] = 0.0
+        vals[mip.x_column(3, 2)] = 1.0
         with pytest.raises(InfeasibleAssignmentError):
             clustering_from_solution(mip, vals)
 
@@ -190,8 +192,8 @@ class TestClusteringFromSolution:
         _, _, w = random_chain(4, 13)
         mip = build_mip(w, 3, 0.001)
         c = CycleClustering(n=4, m=3, assignment=np.array([1, 2, 3, 1]))
-        vals = solution_dict(mip, c)
-        vals["f_1"] += 0.5
+        vals = solution_values(mip, c)
+        vals[mip.column_index("f_1")] += 0.5
         with pytest.raises(ObjectiveMismatchError):
             clustering_from_solution(mip, vals)
 
@@ -208,3 +210,68 @@ def test_export_matches_golden_file():
     text = export_model(build_mip(FlowMatrix(s), 3, 0.001))
     golden = Path(__file__).parent / "data" / "golden_3x3.lp"
     assert text == golden.read_text()
+
+
+def test_export_bytes_pinned_on_larger_model():
+    """Byte-for-byte stability on a 12-bin, four-cluster model: 3,302 lines
+    that span every row and column block."""
+    import hashlib
+
+    text = export_model(build_mip(random_chain(12, 5)[2], 4, 0.001))
+    assert len(text.encode()) == 140413
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ee60d3df152f7967a4df1094145fddccddc38dd4220f41a3a0cf92d9c7f60923")
+
+
+HAND_MADE_LP = """\
+Maximize
+ obj: - x + 1.5 y + w - 0.5 r + 2 b
+Subject To
+ neg_unit: - y + 3 z - 0.25 w <= 7
+ neg_int: - 2 x + r + 0.3333333333333333 b >= -1.5
+ frac_first: 0.1 y - z + 2.5 b = 0
+ neg_frac: - 0.75 w - 4 r <= 0.001
+Bounds
+ x = 2
+ y free
+ z >= -1
+ w <= 4
+ -2.5 <= r <= 3
+ 0 <= b <= 1
+Binaries
+ b
+End
+"""
+
+
+def test_export_covers_every_bound_and_coefficient_form():
+    """Fixed, free, lower-only, upper-only and ranged bounds; unit, integer,
+    fractional and negative leading coefficients."""
+    from scipy.sparse import csr_matrix
+
+    from cycleclust.mip import MipInstance
+
+    inf = math.inf
+    rows = [
+        ("neg_unit", {1: -1.0, 2: 3.0, 3: -0.25}, "L", 7.0),
+        ("neg_int", {0: -2.0, 4: 1.0, 5: 1.0 / 3.0}, "G", -1.5),
+        ("frac_first", {1: 0.1, 2: -1.0, 5: 2.5}, "E", 0.0),
+        ("neg_frac", {3: -0.75, 4: -4.0}, "L", 0.001),
+    ]
+    entries = [(r, c, v) for r, (_, coefs, _, _) in enumerate(rows)
+               for c, v in coefs.items()]
+    r, c, v = zip(*entries)
+    mip = MipInstance(
+        csr_matrix((v, (r, c)), shape=(4, 6)),
+        [row[2] for row in rows], [row[3] for row in rows],
+        lb=[2.0, -inf, -1.0, -inf, -2.5, 0.0],
+        ub=[2.0, inf, inf, 4.0, 3.0, 1.0],
+        obj=[-1.0, 1.5, 0.0, 1.0, -0.5, 2.0],
+        binary=[False] * 5 + [True], n=0, m=0, alpha=None,
+        col_names=["x", "y", "z", "w", "r", "b"],
+        row_names=[row[0] for row in rows])
+    text = export_model(mip)
+    assert text == HAND_MADE_LP
+    again = parse_model(text)
+    assert structurally_equal(mip, again)
+    assert export_model(again) == text

@@ -7,15 +7,16 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from cycleclust.generate.triangle import triangle_fixture
-from cycleclust.mip import MipInstance, Variable, build_mip, export_model, parse_model
+from cycleclust.mip import MipInstance, build_mip, export_model, parse_model
 from cycleclust.simplex import solve_lp
 
 from tableau_oracle import tableau_lp_max
 from util import random_chain
 
 
-def tiny_instance(variables, constraints):
-    """constraints: list of (name, {col: coef}, sense, rhs)."""
+def tiny_instance(columns, constraints):
+    """columns: list of (name, kind, lb, ub, obj); constraints: list of
+    (name, {col: coef}, sense, rhs)."""
     rows, cols, vals = [], [], []
     names, senses, rhs = [], [], []
     for r, (name, coefs, sense, b) in enumerate(constraints):
@@ -26,13 +27,16 @@ def tiny_instance(variables, constraints):
             rows.append(r)
             cols.append(ccol)
             vals.append(v)
-    matrix = csr_matrix((vals, (rows, cols)), shape=(len(names), len(variables)))
-    return MipInstance(variables, names, matrix, senses, rhs, n=0, m=0, alpha=1.0)
+    matrix = csr_matrix((vals, (rows, cols)), shape=(len(names), len(columns)))
+    col_names, kinds, lb, ub, obj = zip(*columns)
+    return MipInstance(matrix, senses, rhs, lb, ub, obj,
+                       [kind == "binary" for kind in kinds], n=0, m=0,
+                       alpha=1.0, col_names=col_names, row_names=names)
 
 
 def scipy_reference(mip) -> float:
-    c = -mip.column_objective()
-    lb, ub = mip.column_bounds()
+    c = -mip.obj
+    lb, ub = mip.lb, mip.ub
     senses = mip.senses
     a = mip.matrix
     a_eq = a[senses == "E"]
@@ -47,7 +51,7 @@ def scipy_reference(mip) -> float:
 
 
 def test_single_bounded_variable():
-    mip = tiny_instance([Variable("x", "continuous", 0.0, 1.0, 1.0)], [])
+    mip = tiny_instance([("x", "continuous", 0.0, 1.0, 1.0)], [])
     res = solve_lp(mip)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-9)
@@ -56,9 +60,9 @@ def test_single_bounded_variable():
 
 def test_assignment_row_fixes_other_columns():
     variables = [
-        Variable("x_1_1", "binary", 1.0, 1.0, 0.0),
-        Variable("x_1_2", "binary", 0.0, 1.0, -1.0),
-        Variable("x_1_3", "binary", 0.0, 1.0, -2.0),
+        ("x_1_1", "binary", 1.0, 1.0, 0.0),
+        ("x_1_2", "binary", 0.0, 1.0, -1.0),
+        ("x_1_3", "binary", 0.0, 1.0, -2.0),
     ]
     mip = tiny_instance(variables, [
         ("assign_1", {0: 1.0, 1: 1.0, 2: 1.0}, "E", 1.0),
@@ -71,7 +75,7 @@ def test_assignment_row_fixes_other_columns():
 
 def test_infeasible_equality_detected():
     mip = tiny_instance(
-        [Variable("x", "continuous", 0.0, 1.0, 1.0)],
+        [("x", "continuous", 0.0, 1.0, 1.0)],
         [("impossible", {0: 1.0}, "E", 2.0)],
     )
     assert solve_lp(mip).status == "infeasible"
@@ -115,7 +119,7 @@ def test_optimal_solution_is_feasible():
     _, _, w = random_chain(7, 6)
     mip = build_mip(w, 3, 0.001)
     res = solve_lp(mip)
-    arr = np.array([res.values[v.name] for v in mip.variables])
+    arr = np.array([res.values[name] for name in mip.column_names()])
     lhs = mip.matrix @ arr
     for r in range(mip.nrows):
         s = str(mip.senses[r])
@@ -125,7 +129,7 @@ def test_optimal_solution_is_feasible():
             assert lhs[r] <= mip.rhs[r] + 1e-7
         else:
             assert lhs[r] >= mip.rhs[r] - 1e-7
-    lb, ub = mip.column_bounds()
+    lb, ub = mip.lb, mip.ub
     assert np.all(arr >= lb - 1e-7)
     assert np.all(arr <= ub + 1e-7)
 
