@@ -22,7 +22,7 @@ from .errors import NumericalFailureError
 from .heuristics import exchange_improvement, greedy_heuristic, rounding_heuristic
 from .markov import FlowMatrix, project
 from .mip import MipInstance, clustering_from_solution, solution_values
-from .simplex import AT_LB, AT_UB, BASIC, SimplexEngine, StandardLp
+from .simplex import AT_LB, AT_UB, BASIC, SimplexEngine, StandardLp, _apply_overrides
 
 PRUNE_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
@@ -127,7 +127,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
     cfg = config or SolverConfig()
     start = time.monotonic()
     deadline = start + cfg.time_limit_s if cfg.time_limit_s is not None else None
-    std = StandardLp(mip)
+    std = None  # the standard form is built by the first node LP
     alpha = mip.alpha
     m = mip.m
 
@@ -154,11 +154,18 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
                 incumbent = canonicalize(cand)
                 primal = val
 
-    if cfg.heuristics.greedy:
-        g = greedy_heuristic(W, m, alpha)
-        better(g)
-        if cfg.heuristics.exchange and incumbent is not None:
+    def offer(c: CycleClustering | None) -> None:
+        """Offer a clustering (None offers nothing); if it improved the
+        incumbent, offer the incumbent's exchange improvement too."""
+        if c is None:
+            return
+        before = primal
+        better(c)
+        if cfg.heuristics.exchange and primal > before:
             better(exchange_improvement(W, incumbent, alpha))
+
+    if cfg.heuristics.greedy:
+        offer(greedy_heuristic(W, m, alpha))
 
     root_bound = trivial_upper_bound(W, alpha)
     pool = _NodePool(cfg.node_selection)
@@ -168,42 +175,34 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
     x_cols = np.arange(mip.n * m, dtype=np.int64)  # x_column(i, k), bin-major
 
     def node_lp(node: BnbNode):
-        lb = std.base_lb.copy()
-        ub = std.base_ub.copy()
-        for col, (lo, hi) in node.bounds.items():
-            lb[col] = max(lb[col], std.scale_bound(col, lo))
-            ub[col] = min(ub[col], std.scale_bound(col, hi))
+        nonlocal std
+        if std is None:
+            std = StandardLp(mip)
+        lb, ub = _apply_overrides(std, node.bounds, mip)
         engine = SimplexEngine(std, lb, ub, deadline=deadline)
         if np.any(lb > ub):
             return "infeasible", -math.inf, engine
         cutoff = primal + PRUNE_TOL if incumbent is not None else None
-        for attempt in range(2):
-            try:
-                if node.basis is not None:
-                    state = engine.solve_dual(node.basis, node.stat, cutoff=cutoff)
-                elif incumbent is not None and not node.bounds:
-                    vals = solution_values(mip, incumbent) / std.col_scale[: std.nstruct]
-                    if np.all(vals >= lb[: std.nstruct] - 1e-9) and \
-                       np.all(vals <= ub[: std.nstruct] + 1e-9):
-                        basis, stat = _crash_state(mip, std, vals)
-                        state = engine.solve_from_basis(basis, stat)
-                        if state == "not-feasible":
-                            state = engine.solve_cold()
-                    else:
-                        state = engine.solve_cold()
-                else:
-                    state = engine.solve_cold()
-                if state == "optimal":
-                    engine.verify_optimal()
-                return state, engine.objective(), engine
-            except NumericalFailureError:
-                if attempt == 1:
-                    # unresolvable LP numerics: fall back to a blind split
-                    return "stuck", node.parent_bound, engine
-                node = replace(node, basis=None, stat=None)
-                engine = SimplexEngine(std, lb, ub, deadline=deadline,
-                                       conservative=True)
-        raise NumericalFailureError("unreachable")
+
+        def solve() -> str:
+            if node.basis is not None:
+                return engine.solve_dual(node.basis, node.stat, cutoff=cutoff)
+            if incumbent is not None and not node.bounds:
+                vals = solution_values(mip, incumbent) / std.col_scale[: std.nstruct]
+                if np.all(vals >= lb[: std.nstruct] - 1e-9) and \
+                   np.all(vals <= ub[: std.nstruct] + 1e-9):
+                    state = engine.solve_from_basis(*_crash_state(mip, std, vals))
+                    if state != "not-feasible":
+                        return state
+            return engine.solve_cold()
+
+        try:
+            state = engine.solve_verified(solve)
+        except NumericalFailureError:
+            # the solve and its recovery failed: the node keeps its parent's
+            # bound and gets a blind split
+            return "stuck", node.parent_bound, engine
+        return state, engine.objective(), engine
 
     def effective_bounds(node: BnbNode, col: int):
         """Original-units bounds of a column under the node's overrides."""
@@ -256,8 +255,8 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
         trace.append((nodes_processed, primal if incumbent else None,
                       max(dual_now, primal)))
         if state == "stuck":
-            # both LP attempts failed numerically; split blindly on the
-            # first unfixed binary (keeps the tree exact) or, with all
+            # the LP and its recovery failed numerically; split blindly on
+            # the first unfixed binary (keeps the tree exact) or, with all
             # binaries fixed, evaluate the implied clustering directly
             unfixed = [int(c) for c in x_cols
                        if effective_bounds(node, int(c))[0]
@@ -271,12 +270,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
                                       node_id=next_id))
                     next_id += 1
             else:
-                forced = forced_assignment(node)
-                if forced is not None:
-                    before = primal
-                    better(forced)
-                    if cfg.heuristics.exchange and primal > before:
-                        better(exchange_improvement(W, incumbent, alpha))
+                offer(forced_assignment(node))
             continue
         if state == "limit":
             if deadline is None:
@@ -297,19 +291,10 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
         frac = np.abs(xvals - np.round(xvals))
         worst = int(np.argmax(frac))
         if frac[worst] <= INTEGRALITY_TOL:
-            cand = clustering_from_solution(mip, original[: std.nstruct])
-            before = primal
-            better(cand)
-            if cfg.heuristics.exchange and primal > before:
-                better(exchange_improvement(W, incumbent, alpha))
+            offer(clustering_from_solution(mip, original[: mip.ncols]))
             continue
         if cfg.heuristics.rounding and node.depth % 5 == 0:
-            rounded = rounding_heuristic(mip, original[: std.nstruct], W)
-            if rounded is not None:
-                before = primal
-                better(rounded)
-                if cfg.heuristics.exchange and primal > before:
-                    better(exchange_improvement(W, incumbent, alpha))
+            offer(rounding_heuristic(mip, original[: mip.ncols], W))
             if incumbent is not None and bound <= primal + PRUNE_TOL:
                 continue
         col = int(x_cols[worst])

@@ -9,6 +9,9 @@ refactorized on a schedule and whenever conditioning degrades.
 Dual-simplex iterates stay dual feasible, so their objective value is a
 valid upper bound on the relaxation at every step; branch-and-bound uses
 this both for early cutoff and for sound bounds under time limits.
+
+Numerical trouble has one recovery path, `SimplexEngine.solve_verified`: a
+primal phase-2 re-solve from the last basis under a fixed iteration cap.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ RESIDUAL_TOL = 1e-7
 DEGEN_EPS = 1e-12
 BLAND_TRIGGER = 1000
 COND_LIMIT = 1e12
+# a recovery is a clean-up from a nearly optimal basis, not a fresh solve
+RECOVERY_ITER_LIMIT = 1000
 _ETA_BYTE_BUDGET = 1.2e8
 
 
@@ -128,11 +133,10 @@ class StandardLp:
 class _Factors:
     """B^-1 as sparse LU plus product-form eta updates."""
 
-    def __init__(self, A: csc_matrix, basis: np.ndarray, max_etas: int | None = None):
+    def __init__(self, A: csc_matrix, basis: np.ndarray):
         self.A = A
         self.dim = A.shape[0]
-        budget = max(8, min(100, int(_ETA_BYTE_BUDGET / (8 * max(self.dim, 1)))))
-        self.max_etas = budget if max_etas is None else min(budget, max_etas)
+        self.max_etas = max(8, min(100, int(_ETA_BYTE_BUDGET / (8 * max(self.dim, 1)))))
         self.refactor(basis)
 
     def refactor(self, basis: np.ndarray):
@@ -179,30 +183,18 @@ class SimplexEngine:
     """State of one LP solve over a StandardLp with current bound arrays."""
 
     def __init__(self, std: StandardLp, lb: np.ndarray, ub: np.ndarray,
-                 iter_limit: int | None = None, deadline: float | None = None,
-                 conservative: bool = False):
+                 iter_limit: int | None = None, deadline: float | None = None):
         self.std = std
         self.lb = lb
         self.ub = ub
         self.iter_limit = iter_limit if iter_limit is not None else std.default_iter_limit
         self.deadline = deadline
-        # conservative mode: Bland pivoting from the start and frequent
-        # refactorization; slower but takes a different path through
-        # degenerate bases when the default run hits bad conditioning
-        self.conservative = conservative
         self.iterations = 0
         self.degen_streak = 0
         self.basis = None
         self.stat = None
         self.vals = None
         self.factor = None
-
-    def _bland(self) -> bool:
-        return self.conservative or self.degen_streak > BLAND_TRIGGER
-
-    def _new_factors(self, basis: np.ndarray) -> _Factors:
-        return _Factors(self.std.A, basis,
-                        max_etas=16 if self.conservative else None)
 
     # -- shared machinery ---------------------------------------------------
 
@@ -229,7 +221,7 @@ class SimplexEngine:
         self.vals = np.where(self.stat == AT_LB, self.lb,
                              np.where(self.stat == AT_UB, self.ub, 0.0))
         self.vals[self.basis] = 0.0
-        self.factor = self._new_factors(self.basis)
+        self.factor = _Factors(self.std.A, self.basis)
         self._recompute_basics()
 
     def objective(self) -> float:
@@ -260,7 +252,7 @@ class SimplexEngine:
             eligible = elig_lb | elig_ub | elig_fr
             if not eligible.any():
                 return "optimal"
-            if self._bland():
+            if self.degen_streak > BLAND_TRIGGER:
                 q = int(np.argmax(eligible))
             else:
                 score = np.where(eligible, np.abs(d), -1.0)
@@ -297,7 +289,7 @@ class SimplexEngine:
             # Harris pass 2: among blockers within the relaxed step, take the
             # largest pivot element for numerical safety
             cand = blocking & (ratios <= theta)
-            if self._bland():
+            if self.degen_streak > BLAND_TRIGGER:
                 r = int(np.argmax(cand))
             else:
                 score = np.where(cand, aden, -1.0)
@@ -338,11 +330,15 @@ class SimplexEngine:
         self.stat[art] = BASIC
         saved_lb, saved_ub = self.lb, self.ub
         self.lb, self.ub = lb1, ub1
-        self.factor = self._new_factors(self.basis)
-        self._recompute_basics()
-        status = self._primal_loop(phase1)
+        try:
+            self.factor = _Factors(self.std.A, self.basis)
+            self._recompute_basics()
+            status = self._primal_loop(phase1)
+        finally:
+            # a failed phase 1 leaves its basis for recovery under the
+            # real bounds, where nonzero artificials read as infeasible
+            self.lb, self.ub = saved_lb, saved_ub
         infeas = float(np.abs(self.vals[art]).sum())
-        self.lb, self.ub = saved_lb, saved_ub
         if status != "optimal":
             return status
         if infeas > 1e-7:
@@ -389,7 +385,7 @@ class SimplexEngine:
             viol_lo = self.lb[self.basis] - xb
             viol_hi = xb - self.ub[self.basis]
             viol = np.maximum(viol_lo, viol_hi)
-            if self._bland():
+            if self.degen_streak > BLAND_TRIGGER:
                 cand = np.nonzero(viol > FEAS_TOL)[0]
                 r = int(cand[0]) if cand.size else int(np.argmax(viol))
             else:
@@ -474,6 +470,30 @@ class SimplexEngine:
         if bad_lb.any() or bad_ub.any():
             raise NumericalFailureError("reduced-cost sign violation at claimed optimum")
 
+    def solve_verified(self, solve) -> str:
+        """Run `solve()`, a solve of this engine, and verify an optimal claim.
+
+        On a NumericalFailureError from the solve or the check, re-solve once
+        by primal phase 2 from the last basis (`solve_from_basis` factors it
+        afresh) under RECOVERY_ITER_LIMIT more iterations and verify again.
+        Any outcome but a verified optimum then raises NumericalFailureError.
+        """
+        try:
+            state = solve()
+            if state == "optimal":
+                self.verify_optimal()
+            return state
+        except NumericalFailureError as exc:
+            if self.basis is None:
+                raise
+            self.iter_limit = min(self.iter_limit, self.iterations + RECOVERY_ITER_LIMIT)
+            state = self.solve_from_basis(self.basis, self.stat)
+            if state != "optimal":
+                raise NumericalFailureError(
+                    f"recovery from the last basis ended {state}") from exc
+            self.verify_optimal()
+            return state
+
 
 def _apply_overrides(std: StandardLp, overrides, mip) -> tuple[np.ndarray, np.ndarray]:
     """Scaled bound arrays with original-units overrides tightened in."""
@@ -494,31 +514,22 @@ def solve_lp(mip, bounds=None, iter_limit: int | None = None,
     """Solve the continuous relaxation of `mip` with optional bound overrides.
 
     `bounds` maps variable names (or column indices) to (lower, upper)
-    pairs that tighten the root bounds. A failed numerical check is retried
-    once from scratch before surfacing.
+    pairs that tighten the root bounds. A numerical failure gets the one
+    recovery of `SimplexEngine.solve_verified`; if that fails too, the
+    NumericalFailureError surfaces.
     """
     std = StandardLp(mip)
     lb, ub = _apply_overrides(std, bounds, mip)
     deadline = time.monotonic() + time_limit_s if time_limit_s is not None else None
-    last_error = None
-    for attempt in range(2):
-        engine = SimplexEngine(std, lb, ub, iter_limit=iter_limit,
-                               deadline=deadline, conservative=attempt > 0)
-        try:
-            status = engine.solve_cold()
-            if status == "optimal":
-                engine.verify_optimal()
-        except NumericalFailureError as exc:
-            last_error = exc
-            continue
-        if status == "limit":
-            return LpResult("iteration-limit", engine.objective(),
-                            _value_dict(mip, engine), engine.iterations)
-        if status == "infeasible":
-            return LpResult("infeasible", -math.inf, {}, engine.iterations)
-        return LpResult("optimal", engine.objective(),
+    engine = SimplexEngine(std, lb, ub, iter_limit=iter_limit, deadline=deadline)
+    status = engine.solve_verified(engine.solve_cold)
+    if status == "limit":
+        return LpResult("iteration-limit", engine.objective(),
                         _value_dict(mip, engine), engine.iterations)
-    raise last_error
+    if status == "infeasible":
+        return LpResult("infeasible", -math.inf, {}, engine.iterations)
+    return LpResult("optimal", engine.objective(),
+                    _value_dict(mip, engine), engine.iterations)
 
 
 def _value_dict(mip, engine: SimplexEngine) -> dict:

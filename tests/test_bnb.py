@@ -9,7 +9,7 @@ from cycleclust.generate.triangle import triangle_fixture
 from cycleclust.heuristics import brute_force
 from cycleclust.mip import build_mip
 
-from util import random_chain
+from util import fail_first_verify, random_chain
 
 TRIANGLE_OPT = [1, 2, 3, 1, 1, 2, 2, 3, 3]
 
@@ -139,6 +139,33 @@ def test_blind_split_fallback_stays_exact(monkeypatch):
     _, best = brute_force(w, 3, 0.001)
     assert res.incumbent is not None
     assert res.primal == pytest.approx(best.total, abs=1e-9)
+
+
+def test_failed_verification_recovers_without_cold_solve(monkeypatch):
+    """Without heuristics the root LP is a cold solve; its failed
+    verification is recovered from the root basis, not by solving again."""
+    events = fail_first_verify(monkeypatch)
+    _, _, w = random_chain(6, 32)
+    cfg = SolverConfig(heuristics=HeuristicsConfig(False, False, False))
+    res = branch_and_bound(build_mip(w, 3, 0.001), w, cfg)
+    _, best = brute_force(w, 3, 0.001)
+    assert events == ["failed"]
+    assert res.status == "optimal"
+    assert res.primal == pytest.approx(best.total, abs=1e-9)
+
+
+def test_node_limit_zero_builds_no_standard_form(monkeypatch):
+    import cycleclust.bnb as bnb
+
+    def refuse(mip):
+        raise AssertionError("standard form built without a node LP")
+
+    monkeypatch.setattr(bnb, "StandardLp", refuse)
+    _, _, w = random_chain(6, 36)
+    res = branch_and_bound(build_mip(w, 3, 0.001), w, SolverConfig(node_limit=0))
+    assert res.status == "node-limit"
+    assert res.nodes == 0
+    assert res.incumbent is not None
 
 
 def test_larger_cycles_respect_flow_sign_constraints():

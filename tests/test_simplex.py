@@ -11,7 +11,7 @@ from cycleclust.mip import MipInstance, build_mip, export_model, parse_model
 from cycleclust.simplex import solve_lp
 
 from tableau_oracle import tableau_lp_max
-from util import random_chain
+from util import fail_first_verify, random_chain
 
 
 def tiny_instance(columns, constraints):
@@ -226,3 +226,28 @@ def test_relaxation_dominates_brute_force():
         _, best = brute_force(w, 3, 0.001)
         assert relaxed.status == "optimal"
         assert relaxed.objective >= best.total - 1e-9
+
+
+def test_failed_verification_recovers_from_last_basis(monkeypatch):
+    """A claimed optimum that fails verification is re-solved from its own
+    basis, not by a second cold solve, and keeps the clean optimum."""
+    _, _, w = random_chain(6, 5)
+    mip = build_mip(w, 3, 0.001)
+    clean = solve_lp(mip)
+    events = fail_first_verify(monkeypatch)
+    res = solve_lp(mip)
+    assert events == ["failed"]
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(clean.objective, abs=1e-9)
+
+
+def test_recovery_that_hits_its_cap_raises(monkeypatch):
+    import cycleclust.simplex as simplex
+    from cycleclust.errors import NumericalFailureError
+
+    _, _, w = random_chain(6, 5)
+    mip = build_mip(w, 3, 0.001)
+    fail_first_verify(monkeypatch)
+    monkeypatch.setattr(simplex, "RECOVERY_ITER_LIMIT", 0)
+    with pytest.raises(NumericalFailureError):
+        solve_lp(mip)

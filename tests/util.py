@@ -21,6 +21,32 @@ def random_chain(n: int, seed: int, floor: float = 0.05):
     return P, pi, flow_matrix(P, pi)
 
 
+def fail_first_verify(monkeypatch) -> list:
+    """Make the first `SimplexEngine.verify_optimal` call raise
+    NumericalFailureError. Returns the log of that failure ("failed") and of
+    every later `solve_cold` call ("cold"), in order."""
+    from cycleclust.errors import NumericalFailureError
+    from cycleclust.simplex import SimplexEngine
+
+    events = []
+    verify, cold = SimplexEngine.verify_optimal, SimplexEngine.solve_cold
+
+    def flaky_verify(self):
+        if not events:
+            events.append("failed")
+            raise NumericalFailureError("forced failure")
+        return verify(self)
+
+    def logged_cold(self):
+        if events:
+            events.append("cold")
+        return cold(self)
+
+    monkeypatch.setattr(SimplexEngine, "verify_optimal", flaky_verify)
+    monkeypatch.setattr(SimplexEngine, "solve_cold", logged_cold)
+    return events
+
+
 def random_clustering(n: int, m: int, rng) -> np.ndarray:
     """Surjective assignment labels, uniform over a simple construction."""
     labels = np.empty(n, dtype=int)
