@@ -86,7 +86,7 @@ def _fg_basis(mip: MipInstance, std: StandardLp):
 
 
 def _crash_state(mip: MipInstance, std: StandardLp, values: np.ndarray):
-    """Basis and statuses for an integral solution (phase 2 start)."""
+    """Basis and statuses for an integral solution (a crash start)."""
     stat = np.full(std.ncols, AT_LB, dtype=np.int8)
     ub_hit = np.zeros(std.ncols, dtype=bool)
     ub_hit[: std.nstruct] = values >= std.base_ub[: std.nstruct] - 1e-12
@@ -189,11 +189,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
                 return engine.solve_dual(node.basis, node.stat, cutoff=cutoff)
             if incumbent is not None and not node.bounds:
                 vals = solution_values(mip, incumbent) / std.col_scale[: std.nstruct]
-                if np.all(vals >= lb[: std.nstruct] - 1e-9) and \
-                   np.all(vals <= ub[: std.nstruct] + 1e-9):
-                    state = engine.solve_from_basis(*_crash_state(mip, std, vals))
-                    if state != "not-feasible":
-                        return state
+                return engine.solve_from_basis(*_crash_state(mip, std, vals))
             return engine.solve_cold()
 
         try:

@@ -81,12 +81,6 @@ class ObjectiveMismatchError(CycleClustError):
         )
 
 
-class IterationLimitError(CycleClustError):
-    def __init__(self, iterations):
-        self.iterations = iterations
-        super().__init__(f"simplex hit the iteration limit after {iterations} pivots")
-
-
 class NumericalFailureError(CycleClustError):
     pass
 

@@ -1,17 +1,18 @@
 """Bounded-variable simplex for the clustering LP relaxations.
 
-One engine drives three entry points: a two-phase primal method for cold
-starts, a crash start from any integral clustering (skips phase 1), and a
-dual simplex for re-solves after branching tightens a single bound. The
-basis is kept as a sparse LU factorization plus product-form eta updates,
-refactorized on a schedule and whenever conditioning degrades.
+One engine runs a primal method from any basis (a composite phase 1 while
+basics violate their bounds, then phase 2), started from the slack basis
+for cold solves or from an integral clustering's basis as a crash start,
+and a dual simplex for re-solves after branching tightens a single bound.
+The basis is kept as a sparse LU factorization plus product-form eta
+updates, refactorized on a schedule and whenever conditioning degrades.
 
 Dual-simplex iterates stay dual feasible, so their objective value is a
 valid upper bound on the relaxation at every step; branch-and-bound uses
 this both for early cutoff and for sound bounds under time limits.
 
 Numerical trouble has one recovery path, `SimplexEngine.solve_verified`: a
-primal phase-2 re-solve from the last basis under a fixed iteration cap.
+primal re-solve from the last basis under a fixed iteration cap.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ BASIC, AT_LB, AT_UB, FREE_NB = 0, 1, 2, 3
 PIVOT_TOL = 1e-9
 DUAL_TOL = 1e-7
 FEAS_TOL = 1e-9
+INFEAS_TOL = 1e-7  # total bound violation a finished phase 1 may leave
 RESIDUAL_TOL = 1e-7
 DEGEN_EPS = 1e-12
 BLAND_TRIGGER = 1000
@@ -38,6 +40,10 @@ COND_LIMIT = 1e12
 # a recovery is a clean-up from a nearly optimal basis, not a fresh solve
 RECOVERY_ITER_LIMIT = 1000
 _ETA_BYTE_BUDGET = 1.2e8
+# Row means count two unit entries beside the structural ones: the slack and
+# the artificial column the layout used to carry. Each adds log2(1) + r - r
+# = 0, so keeping the count keeps every scale factor, and every pivot.
+_UNIT_ENTRIES_PER_ROW = 2
 
 
 def _dense_column(a: csc_matrix, j: int) -> np.ndarray:
@@ -48,7 +54,8 @@ def _dense_column(a: csc_matrix, j: int) -> np.ndarray:
 
 
 def _equilibrate(a: csc_matrix, passes: int = 3):
-    """Geometric-mean row/column scaling, snapped to exact powers of two.
+    """Geometric-mean row/column scaling of the structural matrix, snapped
+    to exact powers of two.
 
     Balances the wide coefficient ranges that the flow-defining rows mix
     (unit product coefficients against tiny pair imbalances), which keeps
@@ -61,7 +68,7 @@ def _equilibrate(a: csc_matrix, passes: int = 3):
     logmag = np.log2(np.abs(a.data))
     row_scale = np.zeros(nrows)
     col_scale = np.zeros(ncols)
-    row_cnt = np.maximum(np.bincount(rows, minlength=nrows), 1)
+    row_cnt = np.bincount(rows, minlength=nrows) + _UNIT_ENTRIES_PER_ROW
     col_cnt = np.maximum(np.bincount(cols, minlength=ncols), 1)
     for _ in range(passes):
         cur = logmag + row_scale[rows] + col_scale[cols]
@@ -87,42 +94,33 @@ class LpResult:
 
 
 class StandardLp:
-    """Equality form max c'v, A v = b, lb <= v <= ub.
+    """Equality form max c'v, [A | I] v = b, lb <= v <= ub.
 
-    Columns are the structural variables followed by one slack per row and
-    one artificial per row; artificials are pinned to zero except during
-    phase 1 of a cold start.
+    Columns are the structural variables followed by one slack per row: in
+    [0, inf) for "L", (-inf, 0] for "G" and fixed at zero for "E" rows. The
+    slacks are the starting basis of a cold solve.
     """
 
     def __init__(self, mip):
         nrows = mip.nrows
-        a_struct = mip.matrix.tocsc()
-        eye = identity(nrows, format="csc")
-        raw = hstack([a_struct, eye, eye], format="csc")
-        raw.eliminate_zeros()
+        a = mip.matrix.tocsc()
+        a.eliminate_zeros()
         self.nstruct = mip.ncols
         self.nrows = nrows
-        self.ncols = self.nstruct + 2 * nrows
-        # "E" rows keep their slack fixed at zero
+        self.ncols = self.nstruct + nrows
         slack_lb = np.where(mip.senses == "G", -math.inf, 0.0)
         slack_ub = np.where(mip.senses == "L", math.inf, 0.0)
-        art = np.zeros(nrows)
-        raw_lb = np.concatenate([mip.lb, slack_lb, art])
-        raw_ub = np.concatenate([mip.ub, slack_ub, art])
-        raw_c = np.concatenate([mip.obj, np.zeros(2 * nrows)])
-        raw_b = np.asarray(mip.rhs, dtype=float)
-        self.row_scale, self.col_scale = _equilibrate(raw)
-        a = raw.copy()
+        self.row_scale, struct_scale = _equilibrate(a)
+        # a slack undoes its row's factor, so the scaled slack block is I
+        self.col_scale = np.concatenate([struct_scale, 1.0 / self.row_scale])
         a.data = a.data * self.row_scale[a.indices]
-        a.data *= np.repeat(self.col_scale, np.diff(a.indptr))
-        self.A = a
+        a.data *= np.repeat(struct_scale, np.diff(a.indptr))
+        self.A = hstack([a, identity(nrows, format="csc")], format="csc")
         self.AT = self.A.T.tocsr()
-        self.b = raw_b * self.row_scale
-        with np.errstate(invalid="ignore"):
-            self.base_lb = raw_lb / self.col_scale
-            self.base_ub = raw_ub / self.col_scale
-        self.c = raw_c * self.col_scale
-        self.art_start = self.nstruct + nrows
+        self.b = np.asarray(mip.rhs, dtype=float) * self.row_scale
+        self.base_lb = np.concatenate([mip.lb, slack_lb]) / self.col_scale
+        self.base_ub = np.concatenate([mip.ub, slack_ub]) / self.col_scale
+        self.c = np.concatenate([mip.obj, np.zeros(nrows)]) * self.col_scale
         self.default_iter_limit = 200 * (mip.nrows + mip.ncols)
 
     def scale_bound(self, col: int, value: float) -> float:
@@ -237,13 +235,36 @@ class SimplexEngine:
 
     # -- primal simplex -----------------------------------------------------
 
-    def _primal_loop(self, costs: np.ndarray) -> str:
+    def _primal_loop(self, phase1: bool) -> str:
+        """Primal iterations of phase 2 (costs `std.c`) or of phase 1, which
+        re-reads its costs every iteration: +1 on a basic below its lower
+        bound, -1 on one above its upper bound. A violated basic may move
+        only up to the bound it violates; once there it keeps its real
+        bounds. Phase 1 is "optimal" once the basis is feasible.
+        """
         std = self.std
+        costs = std.c
+        violated = np.zeros(std.nrows, dtype=bool)
         while True:
             if self._out_of_budget():
                 return "limit"
             if self.factor.needs_refactor:
                 self._refactor_and_refresh()
+            xb = self.vals[self.basis]
+            lo = self.lb[self.basis]
+            hi = self.ub[self.basis]
+            if phase1:
+                below = xb < lo - FEAS_TOL
+                above = xb > hi + FEAS_TOL
+                violated = below | above
+                if not violated.any():
+                    return "optimal"
+                costs = np.zeros(std.ncols)
+                costs[self.basis[below]] = 1.0
+                costs[self.basis[above]] = -1.0
+                excess = float(np.maximum(lo - xb, xb - hi)[violated].sum())
+                lo, hi = (np.where(below, -math.inf, np.where(above, hi, lo)),
+                          np.where(above, math.inf, np.where(below, lo, hi)))
             d = self._reduced_costs(costs)
             movable = (self.ub - self.lb) > 0.0
             elig_lb = (self.stat == AT_LB) & movable & (d > DUAL_TOL)
@@ -251,7 +272,7 @@ class SimplexEngine:
             elig_fr = (self.stat == FREE_NB) & (np.abs(d) > DUAL_TOL)
             eligible = elig_lb | elig_ub | elig_fr
             if not eligible.any():
-                return "optimal"
+                return "infeasible" if phase1 and excess > INFEAS_TOL else "optimal"
             if self.degen_streak > BLAND_TRIGGER:
                 q = int(np.argmax(eligible))
             else:
@@ -261,9 +282,6 @@ class SimplexEngine:
             w = self.factor.ftran(_dense_column(std.A, q))
             self.iterations += 1
             denom = sig * w
-            xb = self.vals[self.basis]
-            lo = self.lb[self.basis]
-            hi = self.ub[self.basis]
             aden = np.abs(denom)
             dn = denom > PIVOT_TOL
             up = denom < -PIVOT_TOL
@@ -278,6 +296,8 @@ class SimplexEngine:
             theta = relaxed.min() if std.nrows else math.inf
             t_flip = self.ub[q] - self.lb[q]
             if math.isinf(theta) and math.isinf(t_flip):
+                if phase1:  # the total violation is bounded below by zero
+                    raise NumericalFailureError("unbounded ray in phase 1")
                 raise UnboundedError("relaxation is unbounded")
             if t_flip <= theta:
                 delta = t_flip
@@ -299,67 +319,39 @@ class SimplexEngine:
             if delta > 0.0:
                 self.vals[self.basis] = xb - sig * delta * w
                 self.vals[q] += sig * delta
+            # the leaving basic stops at the bound it reached: a violated
+            # one at the bound it violated
             lv = self.basis[r]
-            self.stat[lv] = AT_LB if denom[r] > 0 else AT_UB
-            self.vals[lv] = self.lb[lv] if denom[r] > 0 else self.ub[lv]
+            to_lb = (denom[r] > 0) != violated[r]
+            self.stat[lv] = AT_LB if to_lb else AT_UB
+            self.vals[lv] = self.lb[lv] if to_lb else self.ub[lv]
             self.stat[q] = BASIC
             self.basis[r] = q
             self.factor.update(r, w)
 
-    def solve_cold(self) -> str:
-        """Two-phase primal from the all-artificial basis."""
-        std = self.std
-        ncols = std.ncols
+    def _solve_primal(self, basis: np.ndarray, stat: np.ndarray) -> str:
         if np.any(self.lb > self.ub):
             return "infeasible"
-        lb_inf = np.isinf(self.lb)
-        ub_inf = np.isinf(self.ub)
-        self.stat = np.where(~lb_inf, AT_LB,
-                             np.where(~ub_inf, AT_UB, FREE_NB)).astype(np.int8)
-        self.vals = np.where(~lb_inf, self.lb, np.where(~ub_inf, self.ub, 0.0))
-        resid = std.b - std.A @ self.vals
-        art = std.art_start + np.arange(std.nrows)
-        lb1 = self.lb.copy()
-        ub1 = self.ub.copy()
-        phase1 = np.zeros(ncols)
-        neg = resid < 0
-        lb1[art] = np.where(neg, -math.inf, 0.0)
-        ub1[art] = np.where(neg, 0.0, math.inf)
-        phase1[art] = np.where(neg, 1.0, -1.0)
-        self.basis = art.astype(np.int64)
-        self.stat[art] = BASIC
-        saved_lb, saved_ub = self.lb, self.ub
-        self.lb, self.ub = lb1, ub1
-        try:
-            self.factor = _Factors(self.std.A, self.basis)
-            self._recompute_basics()
-            status = self._primal_loop(phase1)
-        finally:
-            # a failed phase 1 leaves its basis for recovery under the
-            # real bounds, where nonzero artificials read as infeasible
-            self.lb, self.ub = saved_lb, saved_ub
-        infeas = float(np.abs(self.vals[art]).sum())
-        if status != "optimal":
-            return status
-        if infeas > 1e-7:
-            return "infeasible"
-        # pin artificials at zero for phase 2
-        self.vals[art] = 0.0
-        nb_art = art[self.stat[art] != BASIC]
-        self.stat[nb_art] = AT_LB
+        self._install_basis(basis, stat)
         self.degen_streak = 0
-        return self._primal_loop(std.c)
+        state = self._primal_loop(phase1=True)
+        if state == "optimal":
+            self.degen_streak = 0
+            state = self._primal_loop(phase1=False)
+        return state
+
+    def solve_cold(self) -> str:
+        """Primal simplex from the slack basis, with every structural
+        nonbasic at a finite bound (a free one at zero)."""
+        slacks = self.std.nstruct + np.arange(self.std.nrows)
+        stat = np.where(np.isfinite(self.lb), AT_LB,
+                        np.where(np.isfinite(self.ub), AT_UB, FREE_NB))
+        stat[slacks] = BASIC
+        return self._solve_primal(slacks, stat)
 
     def solve_from_basis(self, basis: np.ndarray, stat: np.ndarray) -> str:
-        """Primal phase 2 from a given primal-feasible basis."""
-        self._install_basis(basis, stat)
-        xb = self.vals[self.basis]
-        lo = self.lb[self.basis] - 1e-9
-        hi = self.ub[self.basis] + 1e-9
-        if np.any(xb < lo) or np.any(xb > hi):
-            return "not-feasible"
-        self.degen_streak = 0
-        return self._primal_loop(self.std.c)
+        """Primal simplex from a given basis, feasible or not."""
+        return self._solve_primal(basis, stat)
 
     # -- dual simplex ---------------------------------------------------------
 
@@ -464,19 +456,22 @@ class SimplexEngine:
             raise NumericalFailureError("bound violation at claimed optimum")
         d = self._reduced_costs(std.c)
         cscale = 1.0 + float(np.max(np.abs(std.c)))
+        tol = DUAL_TOL * cscale
         movable = (self.ub - self.lb) > 0.0
-        bad_lb = (self.stat == AT_LB) & movable & (d > DUAL_TOL * cscale)
-        bad_ub = (self.stat == AT_UB) & movable & (d < -DUAL_TOL * cscale)
-        if bad_lb.any() or bad_ub.any():
+        bad = (((self.stat == AT_LB) & movable & (d > tol))
+               | ((self.stat == AT_UB) & movable & (d < -tol))
+               | ((self.stat == FREE_NB) & (np.abs(d) > tol)))
+        if bad.any():
             raise NumericalFailureError("reduced-cost sign violation at claimed optimum")
 
     def solve_verified(self, solve) -> str:
         """Run `solve()`, a solve of this engine, and verify an optimal claim.
 
         On a NumericalFailureError from the solve or the check, re-solve once
-        by primal phase 2 from the last basis (`solve_from_basis` factors it
-        afresh) under RECOVERY_ITER_LIMIT more iterations and verify again.
-        Any outcome but a verified optimum then raises NumericalFailureError.
+        by the primal method from the last basis, feasible or not
+        (`solve_from_basis` factors it afresh), under RECOVERY_ITER_LIMIT
+        more iterations and verify again. Any outcome but a verified optimum
+        then raises NumericalFailureError.
         """
         try:
             state = solve()

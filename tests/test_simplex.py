@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,12 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+import cycleclust.simplex as simplex
+from cycleclust.errors import NumericalFailureError, UnboundedError
 from cycleclust.generate.triangle import triangle_fixture
 from cycleclust.mip import MipInstance, build_mip, export_model, parse_model
-from cycleclust.simplex import solve_lp
+from cycleclust.simplex import (AT_LB, BASIC, FREE_NB, SimplexEngine, StandardLp,
+                                _apply_overrides, solve_lp)
 
 from tableau_oracle import tableau_lp_max
 from util import fail_first_verify, random_chain
@@ -34,20 +38,17 @@ def tiny_instance(columns, constraints):
                        alpha=1.0, col_names=col_names, row_names=names)
 
 
-def scipy_reference(mip) -> float:
-    c = -mip.obj
-    lb, ub = mip.lb, mip.ub
-    senses = mip.senses
+def scipy_reference(mip):
+    """(status, objective) of the LP by HiGHS: optimal, infeasible or
+    unbounded."""
     a = mip.matrix
-    a_eq = a[senses == "E"]
-    b_eq = mip.rhs[senses == "E"]
-    a_ub = sp.vstack([a[senses == "L"], -a[senses == "G"]])
-    b_ub = np.concatenate([mip.rhs[senses == "L"], -mip.rhs[senses == "G"]])
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(l, None if math.isinf(u) else u)
-                          for l, u in zip(lb, ub)], method="highs")
-    assert res.status == 0
-    return -res.fun
+    senses = mip.senses
+    res = linprog(-mip.obj, A_ub=sp.vstack([a[senses == "L"], -a[senses == "G"]]),
+                  b_ub=np.concatenate([mip.rhs[senses == "L"], -mip.rhs[senses == "G"]]),
+                  A_eq=a[senses == "E"], b_eq=mip.rhs[senses == "E"],
+                  bounds=list(zip(mip.lb, mip.ub)), method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-res.fun if res.status == 0 else None)
 
 
 def test_single_bounded_variable():
@@ -112,7 +113,7 @@ def test_relaxation_matches_oracles(n, seed):
     assert mine.status == "optimal"
     oracle = tableau_lp_max(parse_model(export_model(mip)))
     assert mine.objective == pytest.approx(oracle, abs=1e-7)
-    assert mine.objective == pytest.approx(scipy_reference(mip), abs=1e-7)
+    assert scipy_reference(mip) == ("optimal", pytest.approx(mine.objective, abs=1e-7))
 
 
 def test_optimal_solution_is_feasible():
@@ -157,8 +158,6 @@ def test_deterministic_repeat():
 def test_dual_warm_start_matches_cold_solve():
     """After tightening one fractional binary, re-solving from the parent
     basis with the dual method must reach the cold-solve optimum."""
-    from cycleclust.simplex import SimplexEngine, StandardLp
-
     for seed in (12, 13, 14):
         _, _, w = random_chain(6, seed)
         mip = build_mip(w, 3, 0.001)
@@ -188,8 +187,6 @@ def test_dual_warm_start_matches_cold_solve():
 
 
 def test_dual_cutoff_returns_early():
-    from cycleclust.simplex import SimplexEngine, StandardLp
-
     # seed 16 has a fractional root relaxation, so branching forces dual work
     _, _, w = random_chain(7, 16)
     mip = build_mip(w, 3, 0.001)
@@ -251,3 +248,141 @@ def test_recovery_that_hits_its_cap_raises(monkeypatch):
     monkeypatch.setattr(simplex, "RECOVERY_ITER_LIMIT", 0)
     with pytest.raises(NumericalFailureError):
         solve_lp(mip)
+
+
+def random_lp(rng) -> MipInstance:
+    """A small LP with integer data: L, G and E rows; free, lower-bounded,
+    upper-bounded and boxed columns."""
+    nrows, ncols = rng.integers(1, 6, size=2)
+    dense = rng.integers(-3, 4, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.7)
+    kind = rng.integers(0, 4, size=ncols)  # free, lower, upper, boxed
+    lo = rng.integers(-3, 2, size=ncols).astype(float)
+    hi = lo + rng.integers(0, 5, size=ncols)
+    lb = np.where(kind % 2 == 1, lo, -math.inf)
+    ub = np.where(kind >= 2, hi, math.inf)
+    return MipInstance(csr_matrix(dense.astype(float)), rng.choice(list("LGE"), size=nrows),
+                       rng.integers(-5, 6, size=nrows), lb, ub,
+                       rng.integers(-3, 4, size=ncols), np.zeros(ncols, dtype=bool),
+                       n=0, m=0, alpha=1.0, col_names=[f"v{j}" for j in range(ncols)],
+                       row_names=[f"r{i}" for i in range(nrows)])
+
+
+def test_random_lps_match_highs():
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for seed in range(200):
+        mip = random_lp(np.random.default_rng(seed))
+        status, value = scipy_reference(mip)
+        seen[status] += 1
+        if status == "unbounded":
+            with pytest.raises(UnboundedError):
+                solve_lp(mip)
+            continue
+        res = solve_lp(mip)
+        assert res.status == status, seed
+        if status == "optimal":
+            assert res.objective == pytest.approx(value, abs=1e-7), seed
+    assert min(seen.values()) >= 20, seen
+
+
+def test_phase_one_leaves_a_relaxed_slack_inside_its_bounds():
+    """Both "G" slacks start above their upper bound 0; the optimum keeps
+    the first one strictly below it."""
+    mip = tiny_instance([("x", "continuous", 0.0, 10.0, 1.0)], [
+        ("x_ge_1", {0: 1.0}, "G", 1.0),
+        ("x_ge_2", {0: 1.0}, "G", 2.0),
+    ])
+    res = solve_lp(mip)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(10.0, abs=1e-9)
+
+
+def test_standard_form_is_structurals_and_slacks_with_pinned_scaling():
+    """Every pivot depends on the power-of-two scale factors; these digests
+    pin them, so a change of layout cannot move them unnoticed."""
+    _, _, w = random_chain(8, 3)
+    mip = build_mip(w, 3, 0.001)
+    std = StandardLp(mip)
+    assert std.ncols == mip.ncols + mip.nrows
+    assert np.array_equal(std.col_scale[std.nstruct:], 1.0 / std.row_scale)
+    assert hashlib.sha256(std.row_scale.tobytes()).hexdigest() == \
+        "575a7df8a0d232abef67e57f456c1f6d5c6e3613e5f23b61f93a4e29d93847d4"
+    assert hashlib.sha256(std.col_scale[: std.nstruct].tobytes()).hexdigest() == \
+        "b7857c28f14675607b664a05dba47c07646b6d116475f25ab3f96ef4da3f37b9"
+
+
+def branched_root(n: int, seed: int):
+    """The standard form, the root engine after a cold solve, the root's
+    most fractional binary column j, and the scaled (lb, ub) of the two
+    children that fix j to 0 and to 1."""
+    _, _, w = random_chain(n, seed)
+    mip = build_mip(w, 3, 0.001)
+    std = StandardLp(mip)
+    root = SimplexEngine(std, std.base_lb.copy(), std.base_ub.copy())
+    assert root.solve_cold() == "optimal"
+    xvals = root.original_values()[: mip.n * 3]
+    j = int(np.argmax(np.abs(xvals - np.round(xvals))))
+    children = [_apply_overrides(std, {j: (v, v)}, mip) for v in (0.0, 1.0)]
+    return std, root, j, children
+
+
+def cold_optimum(std, lb, ub) -> float:
+    cold = SimplexEngine(std, lb.copy(), ub.copy())
+    assert cold.solve_cold() == "optimal"
+    return cold.objective()
+
+
+def test_primal_from_an_infeasible_basis_reaches_the_cold_optimum():
+    std, root, j, children = branched_root(7, 16)
+    for lb, ub in children:
+        assert not lb[j] <= root.vals[j] <= ub[j]  # the root basis is infeasible
+        child = SimplexEngine(std, lb, ub)
+        assert child.solve_from_basis(root.basis, root.stat) == "optimal"
+        child.verify_optimal()
+        assert child.objective() == pytest.approx(cold_optimum(std, lb, ub), abs=1e-8)
+
+
+def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
+    """A dual re-solve that fails part-way leaves a primal-infeasible basis;
+    the recovery runs the primal method from it to the cold optimum."""
+    std, root, _, children = branched_root(7, 16)
+    update = simplex._Factors.update
+    for lb, ub in children:
+        expected = cold_optimum(std, lb, ub)
+        calls = []
+
+        def flaky_update(self, r, d):
+            calls.append(r)
+            if len(calls) == 3:
+                raise NumericalFailureError("forced failure")
+            return update(self, r, d)
+
+        monkeypatch.setattr(simplex._Factors, "update", flaky_update)
+        child = SimplexEngine(std, lb, ub)
+        state = child.solve_verified(lambda: child.solve_dual(root.basis, root.stat))
+        monkeypatch.undo()
+        assert len(calls) >= 3
+        assert state == "optimal"
+        assert child.objective() == pytest.approx(expected, abs=1e-8)
+
+
+def test_verify_flags_a_free_nonbasic_column_with_nonzero_reduced_cost():
+    """max z with z - y = 0, y <= 1, y in [0, 5] and z free has optimum 1.
+    The basis {y, cap slack} with z free nonbasic at 0 is primal feasible
+    at objective 0, with reduced cost 1 on z."""
+    mip = tiny_instance(
+        [("y", "continuous", 0.0, 5.0, 0.0),
+         ("z", "continuous", -math.inf, math.inf, 1.0)],
+        [("link", {0: -1.0, 1: 1.0}, "E", 0.0),
+         ("cap", {0: 1.0}, "L", 1.0)],
+    )
+    std = StandardLp(mip)
+    engine = SimplexEngine(std, std.base_lb.copy(), std.base_ub.copy())
+    basis = np.array([0, std.nstruct + 1])
+    stat = np.full(std.ncols, AT_LB)
+    stat[basis] = BASIC
+    stat[1] = FREE_NB
+    # the dual method stops at once: the basis is primal feasible
+    assert engine.solve_dual(basis, stat) == "optimal"
+    assert engine.objective() == 0.0
+    with pytest.raises(NumericalFailureError):
+        engine.verify_optimal()
