@@ -245,6 +245,7 @@ class SimplexEngine:
         std = self.std
         costs = std.c
         violated = np.zeros(std.nrows, dtype=bool)
+        movable = (self.ub - self.lb) > 0.0
         while True:
             if self._out_of_budget():
                 return "limit"
@@ -266,34 +267,31 @@ class SimplexEngine:
                 lo, hi = (np.where(below, -math.inf, np.where(above, hi, lo)),
                           np.where(above, math.inf, np.where(below, lo, hi)))
             d = self._reduced_costs(costs)
-            movable = (self.ub - self.lb) > 0.0
-            elig_lb = (self.stat == AT_LB) & movable & (d > DUAL_TOL)
-            elig_ub = (self.stat == AT_UB) & movable & (d < -DUAL_TOL)
-            elig_fr = (self.stat == FREE_NB) & (np.abs(d) > DUAL_TOL)
-            eligible = elig_lb | elig_ub | elig_fr
-            if not eligible.any():
+            nb = np.flatnonzero(movable & (self.stat != BASIC))
+            dn, sn = d[nb], self.stat[nb]
+            eligible = nb[((sn == AT_LB) & (dn > DUAL_TOL))
+                          | ((sn == AT_UB) & (dn < -DUAL_TOL))
+                          | ((sn == FREE_NB) & (np.abs(dn) > DUAL_TOL))]
+            if not eligible.size:
                 return "infeasible" if phase1 and excess > INFEAS_TOL else "optimal"
             if self.degen_streak > BLAND_TRIGGER:
-                q = int(np.argmax(eligible))
+                q = int(eligible[0])
             else:
-                score = np.where(eligible, np.abs(d), -1.0)
-                q = int(np.argmax(score))
-            sig = 1.0 if (elig_lb[q] or (elig_fr[q] and d[q] > 0)) else -1.0
+                q = int(eligible[np.argmax(np.abs(d[eligible]))])
+            sig = 1.0 if d[q] > 0 else -1.0
             w = self.factor.ftran(_dense_column(std.A, q))
             self.iterations += 1
-            denom = sig * w
+            # blocking rows: a basic moves down (denominator > 0) to lo or up
+            # to hi
+            blk = np.flatnonzero(np.abs(w) > PIVOT_TOL)
+            denom = sig * w[blk]
             aden = np.abs(denom)
-            dn = denom > PIVOT_TOL
-            up = denom < -PIVOT_TOL
-            blocking = dn | up
-            slack = np.where(dn, xb - lo, np.where(up, hi - xb, math.inf))
-            slack = np.maximum(slack, 0.0)
-            ratios = np.full(std.nrows, math.inf)
-            relaxed = np.full(std.nrows, math.inf)
+            down = denom > 0.0
+            slack = np.maximum(np.where(down, xb[blk] - lo[blk], hi[blk] - xb[blk]), 0.0)
             with np.errstate(invalid="ignore"):
-                ratios[blocking] = slack[blocking] / aden[blocking]
-                relaxed[blocking] = (slack[blocking] + FEAS_TOL) / aden[blocking]
-            theta = relaxed.min() if std.nrows else math.inf
+                ratios = slack / aden
+                relaxed = (slack + FEAS_TOL) / aden
+            theta = relaxed.min() if blk.size else math.inf
             t_flip = self.ub[q] - self.lb[q]
             if math.isinf(theta) and math.isinf(t_flip):
                 if phase1:  # the total violation is bounded below by zero
@@ -308,13 +306,13 @@ class SimplexEngine:
                 continue
             # Harris pass 2: among blockers within the relaxed step, take the
             # largest pivot element for numerical safety
-            cand = blocking & (ratios <= theta)
+            cand = ratios <= theta
             if self.degen_streak > BLAND_TRIGGER:
-                r = int(np.argmax(cand))
+                k = int(np.argmax(cand))
             else:
-                score = np.where(cand, aden, -1.0)
-                r = int(np.argmax(score))
-            delta = min(max(ratios[r], 0.0), t_flip)
+                k = int(np.argmax(np.where(cand, aden, -1.0)))
+            r = int(blk[k])
+            delta = min(max(ratios[k], 0.0), t_flip)
             self.degen_streak = self.degen_streak + 1 if delta <= DEGEN_EPS else 0
             if delta > 0.0:
                 self.vals[self.basis] = xb - sig * delta * w
@@ -322,7 +320,7 @@ class SimplexEngine:
             # the leaving basic stops at the bound it reached: a violated
             # one at the bound it violated
             lv = self.basis[r]
-            to_lb = (denom[r] > 0) != violated[r]
+            to_lb = bool(down[k]) != violated[r]
             self.stat[lv] = AT_LB if to_lb else AT_UB
             self.vals[lv] = self.lb[lv] if to_lb else self.ub[lv]
             self.stat[q] = BASIC
@@ -367,6 +365,8 @@ class SimplexEngine:
         d = self._reduced_costs(std.c)
         self.degen_streak = 0
         stale_prices = 0
+        movable = (self.ub - self.lb) > 0.0
+        e_r = np.zeros(std.nrows)
         while True:
             if self._out_of_budget():
                 return "limit"
@@ -387,34 +387,26 @@ class SimplexEngine:
             if cutoff is not None and self.objective() <= cutoff:
                 return "cutoff"
             low_side = viol_lo[r] > viol_hi[r]
-            e_r = np.zeros(std.nrows)
             e_r[r] = 1.0
             rho = self.factor.btran(e_r)
+            e_r[r] = 0.0
             alpha = self.std.AT @ rho
             self.iterations += 1
-            movable = ((self.ub - self.lb) > 0.0) & (self.stat != BASIC)
-            at_lb = (self.stat == AT_LB) & movable
-            at_ub = (self.stat == AT_UB) & movable
-            free = (self.stat == FREE_NB)
-            aabs = np.abs(alpha)
+            # entering candidates: nonbasics whose move lets the leaving
+            # basic reach the bound it violates
+            nb = np.flatnonzero(movable & (self.stat != BASIC))
+            an, sn = alpha[nb], self.stat[nb]
             if low_side:
-                cands = (at_lb & (alpha < -PIVOT_TOL)) | (at_ub & (alpha > PIVOT_TOL)) \
-                    | (free & (aabs > PIVOT_TOL))
-            else:
-                cands = (at_lb & (alpha > PIVOT_TOL)) | (at_ub & (alpha < -PIVOT_TOL)) \
-                    | (free & (aabs > PIVOT_TOL))
-            if not cands.any():
+                an = -an
+            cands = nb[((sn == AT_LB) & (an > PIVOT_TOL)) | ((sn == AT_UB) & (an < -PIVOT_TOL))
+                       | ((sn == FREE_NB) & (np.abs(an) > PIVOT_TOL))]
+            if not cands.size:
                 return "infeasible"
-            ratios = np.full(std.ncols, math.inf)
-            relaxed = np.full(std.ncols, math.inf)
+            aabs = np.abs(alpha[cands])
             dmag = np.abs(d[cands])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios[cands] = dmag / aabs[cands]
-                relaxed[cands] = (dmag + DUAL_TOL) / aabs[cands]
-            theta = relaxed.min()
-            pick = cands & (ratios <= theta)
-            score = np.where(pick, aabs, -1.0)
-            q = int(np.argmax(score))
+            ratios = dmag / aabs
+            theta = ((dmag + DUAL_TOL) / aabs).min()
+            q = int(cands[np.argmax(np.where(ratios <= theta, aabs, -1.0))])
             w = self.factor.ftran(_dense_column(std.A, q))
             if abs(w[r]) < PIVOT_TOL:
                 # price disagreement: refresh factors and retry this row
@@ -438,7 +430,7 @@ class SimplexEngine:
             self.basis[r] = q
             self.factor.update(r, w)
             tt = d[q] / alpha[q]
-            d = d - tt * alpha
+            d -= tt * alpha
             d[q] = 0.0
             d[lv] = -tt
             self.degen_streak = self.degen_streak + 1 if abs(tt) <= DEGEN_EPS else 0
