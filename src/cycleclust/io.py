@@ -33,6 +33,25 @@ def write_flow_matrix(path, fm: FlowMatrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _numbers(parts, kind, path, lineno: int) -> list:
+    """`parts` converted by `kind` (int or float); a bad one is a format
+    error naming the file and its 1-based line."""
+    try:
+        return [kind(p) for p in parts]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+
+
+def _read_json_object(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _read_matrix_body(lines, n, path):
     if len(lines) < n + 1:
         raise FileFormatError(f"{path}: expected {n} matrix rows")
@@ -41,7 +60,7 @@ def _read_matrix_body(lines, n, path):
         parts = lines[k].split()
         if len(parts) != n:
             raise FileFormatError(f"{path}: row {k} has {len(parts)} entries, want {n}")
-        rows.append([float(p) for p in parts])
+        rows.append(_numbers(parts, float, path, k + 1))
     return np.array(rows, dtype=float)
 
 
@@ -100,13 +119,15 @@ def write_clustering(path, c: CycleClustering, value: ObjectiveValue) -> None:
 
 def read_clustering(path):
     """Returns (clustering, alpha, stored objective dict)."""
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json_object(path)
     try:
         c = CycleClustering(n=int(doc["n"]), m=int(doc["m"]),
                             assignment=np.array(doc["assignment"], dtype=int))
         return c, float(doc["alpha"]), dict(doc["objective"])
     except KeyError as exc:
         raise FileFormatError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed clustering: {exc}") from exc
 
 
 def write_solve_report(path, result: SolveResult) -> None:
@@ -122,7 +143,7 @@ def write_solve_report(path, result: SolveResult) -> None:
 
 
 def read_solver_config(path) -> SolverConfig:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json_object(path)
     for key in ("gap_tol", "time_limit_s", "node_limit"):
         value = doc.get(key)
         if value is not None and (isinstance(value, bool)
@@ -133,37 +154,43 @@ def read_solver_config(path) -> SolverConfig:
         raise FileFormatError(f"{path}: node_selection must be one of "
                               f"{', '.join(NODE_SELECTIONS)}, got {selection!r}")
     heur = doc.get("heuristics", {})
+    if not isinstance(heur, dict):
+        raise FileFormatError(f"{path}: heuristics must be a JSON object, got {heur!r}")
+    flags = {key: heur.get(key, True) for key in ("greedy", "rounding", "exchange")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise FileFormatError(
+                f"{path}: heuristics.{key} must be true or false, got {value!r}")
     return SolverConfig(
         gap_tol=float(doc.get("gap_tol", 1e-6)),
         time_limit_s=doc.get("time_limit_s"),
         node_limit=doc.get("node_limit"),
         node_selection=selection,
-        heuristics=HeuristicsConfig(
-            greedy=bool(heur.get("greedy", True)),
-            rounding=bool(heur.get("rounding", True)),
-            exchange=bool(heur.get("exchange", True)),
-        ),
+        heuristics=HeuristicsConfig(**flags),
     )
 
 
 def read_multiway_cut(path) -> MultiwayCutInstance:
     """Line 1: 'n m'; line 2: m terminal labels; then 'u v weight' lines."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [(k + 1, ln) for k, ln in enumerate(Path(path).read_text().splitlines())
+             if ln.strip()]
     if len(lines) < 2:
         raise FileFormatError(f"{path}: need header and terminal lines")
-    head = lines[0].split()
+    (head_no, head), (term_no, term) = lines[:2]
+    head = head.split()
     if len(head) != 2:
         raise FileFormatError(f"{path}: expected 'n m' header")
-    n, m = int(head[0]), int(head[1])
-    terminals = tuple(int(t) for t in lines[1].split())
+    n, m = _numbers(head, int, path, head_no)
+    terminals = tuple(_numbers(term.split(), int, path, term_no))
     if len(terminals) != m:
         raise FileFormatError(f"{path}: expected {m} terminals")
     edges = []
-    for ln in lines[2:]:
+    for lineno, ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 3:
             raise FileFormatError(f"{path}: bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        u, v = _numbers(parts[:2], int, path, lineno)
+        edges.append((u, v, *_numbers(parts[2:], float, path, lineno)))
     return MultiwayCutInstance(n, tuple(edges), terminals)
 
 

@@ -4,8 +4,12 @@ One engine runs a primal method from any basis (a composite phase 1 while
 basics violate their bounds, then phase 2), started from the slack basis
 for cold solves or from an integral clustering's basis as a crash start,
 and a dual simplex for re-solves after branching tightens a single bound.
-The basis is kept as a sparse LU factorization plus product-form eta
-updates, refactorized on a schedule and whenever conditioning degrades.
+The basis is kept as a sparse LU factorization plus an eta file of the
+updates since, refactorized once the file is full and whenever
+conditioning degrades. The eta file is applied in block form: a solve
+with the LU, one small triangular solve and one dense product, with no
+loop over the etas. Pricing and ratio tests look only at the nonbasic
+columns that can move and at the rows that block.
 
 Dual-simplex iterates stay dual feasible, so their objective value is a
 valid upper bound on the relaxation at every step; branch-and-bound uses
@@ -22,6 +26,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtpsv
 from scipy.sparse import csc_matrix, hstack, identity
 from scipy.sparse.linalg import splu
 
@@ -129,12 +134,28 @@ class StandardLp:
 
 
 class _Factors:
-    """B^-1 as sparse LU plus product-form eta updates."""
+    """B^-1 as a sparse LU of the last refactorized basis B0 plus an eta
+    file of the k basis updates since, applied in block form.
+
+    Update j replaces basis position r_j by a column whose ftran is d_j.
+    With g_j = d_j - e_{r_j}, the current basis is
+    B = B0 (I + g_1 e_{r_1}') ... (I + g_k e_{r_k}'). The g_j are the rows
+    of G, and L is the k x k lower-triangular matrix with L[j, i] =
+    g_i[r_j] for i < j and L[j, j] = d_j[r_j], the pivot of update j. Then
+
+        ftran: y0 = B0^-1 v,  L t = y0[R],     y = y0 - G' t
+        btran: L' s = G v,    w = v - sum_j s_j e_{r_j},  B^-T v = B0^-T w
+
+    which is the sequential product form computed in another order. L is
+    stored row by row, packed (L' in BLAS upper packed storage), so an
+    update appends to it and the triangular solves need no copy.
+    """
 
     def __init__(self, A: csc_matrix, basis: np.ndarray):
         self.A = A
         self.dim = A.shape[0]
         self.max_etas = max(8, min(100, int(_ETA_BYTE_BUDGET / (8 * max(self.dim, 1)))))
+        self.G = None  # allocated at the first update
         self.refactor(basis)
 
     def refactor(self, basis: np.ndarray):
@@ -150,31 +171,44 @@ class _Factors:
                 raise NumericalFailureError(
                     f"basis condition estimate {diag.max() / max(dmin, 1e-300):.3e} too large"
                 )
-        self.etas = []
+        self.k = 0
 
     @property
     def needs_refactor(self) -> bool:
-        return len(self.etas) >= self.max_etas
+        return self.k >= self.max_etas
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         y = self.lu.solve(v)
-        for r, d, dr in self.etas:
-            t = y[r] / dr
-            if t != 0.0:
-                y -= t * d
-            y[r] = t
+        k = self.k
+        if k:
+            t = dtpsv(k, self.L, y[self.R[:k]], trans=1, overwrite_x=1)  # L t = y0[R]
+            y -= t @ self.G[:k]
         return y
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        w = v.copy()
-        for r, d, dr in reversed(self.etas):
-            w[r] -= (d @ w - w[r]) / dr
-        return self.lu.solve(w, trans="T")
+        k = self.k
+        if k:
+            s = dtpsv(k, self.L, self.G[:k] @ v, overwrite_x=1)  # L' s = G v
+            v = v.copy()
+            # a position pivoted twice gets both terms
+            np.subtract.at(v, self.R[:k], s)
+        return self.lu.solve(v, trans="T")
 
     def update(self, r: int, d: np.ndarray):
         if abs(d[r]) < 1e-12:
             raise NumericalFailureError("vanishing pivot element in basis update")
-        self.etas.append((r, d.copy(), d[r]))
+        if self.G is None:
+            self.G = np.empty((self.max_etas, self.dim))
+            self.L = np.empty(self.max_etas * (self.max_etas + 1) // 2)
+            self.R = np.empty(self.max_etas, dtype=np.int64)
+        k = self.k
+        row = k * (k + 1) // 2  # where row k of L starts in packed storage
+        self.L[row:row + k] = self.G[:k, r]
+        self.L[row + k] = d[r]
+        self.G[k] = d
+        self.G[k, r] -= 1.0
+        self.R[k] = r
+        self.k = k + 1
 
 
 class SimplexEngine:

@@ -231,3 +231,47 @@ def test_manifest_reproducibility(tmp_path):
             first_clustering = clusterings
     assert reports[0] == reports[1]
     assert clusterings == first_clustering
+
+
+def test_bad_number_in_a_matrix_is_a_format_error(tmp_path, capsys):
+    matrix = tmp_path / "bad.tm"
+    matrix.write_text("2\n0.5 0.5\n0.5 abc\n")
+    assert run("solve", matrix, "-m", 3, "--out", tmp_path / "sol") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3" in err and str(matrix) in err
+
+
+def test_bad_number_in_a_multiway_cut_graph_is_a_format_error(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("4 3\n1 2 3\n\n1 4 x\n")
+    assert run("generate", "multiway-cut", "--graph", graph,
+               "--out", tmp_path / "x") == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"gap_tol": 1e-7,',  # malformed JSON
+    '[1, 2]',  # not an object
+    '{"heuristics": {"greedy": "false"}}',  # a string, not a JSON boolean
+    '{"heuristics": [true]}',
+])
+def test_bad_config_is_a_format_error(tmp_path, capsys, text):
+    out = tmp_path / "tri"
+    run("generate", "triangle", "--out", out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    capsys.readouterr()
+    assert run("solve", out / "matrix.fm", "-m", 3, "--out", tmp_path / "sol",
+               "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert not (tmp_path / "sol" / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", ['{"n": 9,', '"n"', '{"n": "nine", "m": 3, '
+                                  '"assignment": [], "alpha": 0, "objective": {}}'])
+def test_verify_of_a_malformed_clustering_is_a_format_error(tmp_path, text):
+    out = tmp_path / "tri"
+    run("generate", "triangle", "--out", out)
+    clustering = tmp_path / "clustering.json"
+    clustering.write_text(text)
+    assert run("verify", out / "matrix.fm", clustering) == 2

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import splu
 
 import cycleclust.simplex as simplex
 from cycleclust.errors import NumericalFailureError, UnboundedError
@@ -386,3 +387,72 @@ def test_verify_flags_a_free_nonbasic_column_with_nonzero_reduced_cost():
     assert engine.objective() == 0.0
     with pytest.raises(NumericalFailureError):
         engine.verify_optimal()
+
+
+def product_form_solves(lu, etas, v):
+    """(ftran, btran) of v by the sequential product form: the LU of the
+    refactorized basis, then one eta (r, d) at a time."""
+    y = lu.solve(v)
+    for r, d in etas:
+        t = y[r] / d[r]
+        y -= t * d
+        y[r] = t
+    w = v.copy()
+    for r, d in reversed(etas):
+        w[r] -= (d @ w - w[r]) / d[r]
+    return y, lu.solve(w, trans="T")
+
+
+def test_block_eta_file_matches_a_fresh_factorization(monkeypatch):
+    """ftran and btran through the eta file equal a fresh LU of the current
+    basis and the sequential product form, across a position pivoted twice
+    and a refactorization, with the smallest eta cap."""
+    monkeypatch.setattr(simplex, "_ETA_BYTE_BUDGET", 1.0)
+    _, _, w = random_chain(6, 5)
+    std = StandardLp(build_mip(w, 3, 0.001))
+    basis = std.nstruct + np.arange(std.nrows)
+    factor = simplex._Factors(std.A, basis)
+    assert factor.max_etas == 8
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(std.nrows)
+    pivoted, etas, refactored = [], [], False
+    for step in range(14):
+        if factor.needs_refactor:
+            factor.refactor(basis)
+            etas.clear()
+            refactored = True
+        if step == 2:  # bring back the slack the first update replaced
+            q = std.nstruct + pivoted[0]
+        else:
+            q = int(rng.choice(np.setdiff1d(np.arange(std.nstruct), basis)))
+        d = factor.ftran(simplex._dense_column(std.A, q))
+        r = int(np.argmax(np.abs(d)))
+        pivoted.append(r)
+        basis[r] = q
+        factor.update(r, d)
+        etas.append((r, d.copy()))
+        lu = splu(std.A[:, basis].tocsc())
+        loop_ftran, loop_btran = product_form_solves(factor.lu, etas, v)
+        for mine, refs in ((factor.ftran(v), (lu.solve(v), loop_ftran)),
+                           (factor.btran(v), (lu.solve(v, trans="T"), loop_btran))):
+            for ref in refs:
+                assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert refactored
+    assert pivoted[2] == pivoted[0]
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_lp_across_refactorizations_matches_highs(seed):
+    """A root relaxation long enough to refactorize several times matches
+    HiGHS, and both branched children re-solve by the dual method to their
+    cold optimum."""
+    std, root, j, children = branched_root(10, seed)
+    _, _, w = random_chain(10, seed)
+    assert root.iterations > root.factor.max_etas
+    assert scipy_reference(build_mip(w, 3, 0.001)) == \
+        ("optimal", pytest.approx(root.objective(), abs=1e-7))
+    for lb, ub in children:
+        child = SimplexEngine(std, lb, ub)
+        assert child.solve_dual(root.basis, root.stat) == "optimal"
+        child.verify_optimal()
+        assert child.objective() == pytest.approx(cold_optimum(std, lb, ub), abs=1e-8)
