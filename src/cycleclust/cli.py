@@ -52,6 +52,7 @@ USAGE_ERRORS = (
 DEFAULT_BETA = 0.5
 DEFAULT_STEPS = 10_000
 DEFAULT_BINS = 20
+LP_WRITE_SLICE = 1 << 20  # characters per write of model.lp
 
 
 def _manifest(out_dir: Path, command: str, args: dict, inputs: list, t0: float) -> None:
@@ -65,6 +66,14 @@ def _manifest(out_dir: Path, command: str, args: dict, inputs: list, t0: float) 
         "tool_version": __version__,
         "wall_clock_s": time.monotonic() - t0,
     })
+
+
+def _write_lp(path, text: str) -> None:
+    """Write LP text in slices, so that no encoded copy of the whole model
+    is held at once."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for at in range(0, len(text), LP_WRITE_SLICE):
+            fh.write(text[at:at + LP_WRITE_SLICE])
 
 
 def _load_weights(path: str):
@@ -144,7 +153,7 @@ def cmd_solve(args) -> int:
     weights, kind = _load_weights(args.matrix)
     mip = build_mip(weights, args.m, args.alpha)
     if args.emit_lp:
-        (out / "model.lp").write_text(export_model(mip))
+        _write_lp(out / "model.lp", export_model(mip))
     cfg = _solver_config(args)
     result = branch_and_bound(mip, weights, cfg)
     io.write_solve_report(out / "report.json", result)
@@ -208,7 +217,7 @@ def cmd_oracle(args) -> int:
 def cmd_export_lp(args) -> int:
     weights, _ = _load_weights(args.matrix)
     mip = build_mip(weights, args.m, args.alpha)
-    Path(args.out).write_text(export_model(mip))
+    _write_lp(args.out, export_model(mip))
     print(f"wrote {args.out}")
     return 0
 

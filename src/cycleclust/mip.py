@@ -14,12 +14,18 @@ Each `ColumnBlock` keeps its offset and the 0-based pair arrays (i, j) it
 was built from, so a column's meaning is offset arithmetic. Rows follow
 the columns: assign_i, setcover_k, flowdef_k, cohdef_k, then for the e and
 then the c block its p1, p2 and p3 envelope rows, each in block column
-order.
+order. build_mip writes the CSR arrays directly in that row order, each
+row's columns ascending by construction, with no triplets and no sort.
 
 Names such as x_1_2 or p3_e_4_7_1 are formatted only where a name is the
 output: export_model, parse_model, MipInstance.constraint and
 column_index, solution_dict, solve_lp's values and error messages. Parsed
 and hand-made instances have no blocks and carry explicit name lists.
+
+export_model writes the text from arrays of string pieces joined in chunks
+of rows. It formats each distinct number once (unit coefficients need no
+number), makes each run of equal row ends once, and names an envelope row
+by two pieces, its "p1_" prefix and its product column's name.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ def _labels(prefix: str, *indices: np.ndarray) -> np.ndarray:
     index arrays, printed 1-based."""
     top = max((int(ix.max()) for ix in indices if ix.size), default=-1)
     tails = np.array([f"_{t}" for t in range(1, top + 2)], dtype=object)
-    out = np.full(len(indices[0]), prefix, dtype=object)
+    out = np.empty(len(indices[0]), dtype=object)
+    out.fill(prefix)  # np.full would make a new string per entry
     for ix in indices:
         out += tails[ix]
     return out
@@ -76,8 +83,13 @@ class ColumnBlock:
     def names(self, lo: int, hi: int) -> np.ndarray:
         """Names of the block's local columns lo..hi-1."""
         run, k = np.divmod(np.arange(lo, hi), self.m)
-        pairs = [ix[run] for ix in (self.i, self.j) if ix is not None]
-        return _labels(self.tag, *pairs, k)
+        if self.i is None:
+            return _labels(self.tag, k)
+        # one tag_i_j per run of m columns, then the _k of each column
+        first, last = lo // self.m, -(-hi // self.m)
+        heads = _labels(self.tag, *[ix[first:last] for ix in (self.i, self.j)
+                                    if ix is not None])
+        return heads[run - first] + _labels("", k)
 
 
 def _span_names(segments, lo: int, hi: int) -> np.ndarray:
@@ -140,14 +152,13 @@ class MipInstance:
         return _span_names([(b.offset, b.size, b.names)
                             for b in self.blocks.values()], lo, hi)
 
-    def row_names(self, lo: int = 0, hi: int | None = None,
-                  col_names: np.ndarray | None = None) -> np.ndarray:
-        """Names of rows lo..hi-1 as an object array. Envelope rows are
-        named after their product column; passing all `col_names` saves
-        formatting those again."""
-        hi = self.nrows if hi is None else hi
+    def row_segments(self, col_names: np.ndarray | None = None) -> list:
+        """(start, count, prefix, names(a, b)) for each run of rows named
+        `prefix` followed by names(a, b) of the run's local rows a..b-1.
+        Envelope rows are named after their product column; passing all
+        `col_names` saves formatting those again."""
         if self.blocks is None:
-            return self._row_names[lo:hi]
+            return [(0, self.nrows, "", lambda a, b: self._row_names[a:b])]
 
         def columns(a, b):
             return self.column_names(a, b) if col_names is None else col_names[a:b]
@@ -155,16 +166,24 @@ class MipInstance:
         n, m = self.n, self.m
         segments, start = [], 0
         for prefix, count in (("assign", n), ("setcover", m), ("flowdef", m), ("cohdef", m)):
-            segments.append((start, count,
+            segments.append((start, count, "",
                              lambda a, b, p=prefix: _labels(p, np.arange(a, b))))
             start += count
         for tag in ("e", "c"):
             at, size = self.blocks[tag].offset, self.blocks[tag].size
             for t in (1, 2, 3):
-                segments.append((start, size,
-                                 lambda a, b, p=f"p{t}_", at=at: p + columns(at + a, at + b)))
+                segments.append((start, size, f"p{t}_",
+                                 lambda a, b, at=at: columns(at + a, at + b)))
                 start += size
-        return _span_names(segments, lo, hi)
+        return segments
+
+    def row_names(self, lo: int = 0, hi: int | None = None,
+                  col_names: np.ndarray | None = None) -> np.ndarray:
+        """Names of rows lo..hi-1 as an object array (see row_segments)."""
+        hi = self.nrows if hi is None else hi
+        return _span_names([(start, count, lambda a, b, p=prefix, f=names: p + f(a, b))
+                            for start, count, prefix, names in self.row_segments(col_names)],
+                           lo, hi)
 
     def column_index(self, name: str) -> int:
         hits = np.flatnonzero(self.column_names() == name)
@@ -243,58 +262,52 @@ def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     binary = np.zeros(ncols, dtype=bool)
     binary[:off_e] = True
 
-    # (rows, cols, vals) triplets; within-row order is irrelevant because
-    # the CSR matrix is sorted
-    rows, cols, vals = [], [], []
-    # assign_i: sum_k x_i_k = 1
-    rows.append(np.repeat(np.arange(n), m))
-    cols.append(np.arange(n * m))
-    vals.append(np.ones(n * m))
-    # setcover_k: sum_i x_i_k >= 1
-    rows.append(n + np.tile(ks, n))
-    cols.append(np.arange(n * m))
-    vals.append(np.ones(n * m))
-    # flowdef_k: f_k - sum_(i,j) d_ij e_i_j_k = 0
-    rows.append(n + m + np.concatenate([ks, np.tile(ks, ne)]))
-    cols.append(np.concatenate([off_f + ks, off_e + np.arange(ne * m)]))
-    vals.append(np.concatenate([np.ones(m),
-                                np.repeat(-d[epairs[:, 0], epairs[:, 1]], m)]))
-    # cohdef_k: g_k - sum_i q_ii x_i_k - sum_(i<j) (q_ij + q_ji) c_i_j_k = 0
+    # Each row group is a (rows, width) table of ascending column indices
+    # and one of coefficients, so the CSR arrays are their concatenation in
+    # row order and need no sort. Every x column precedes every product
+    # column, and every product column precedes f and g.
+    xcols = np.arange(n * m).reshape(n, m)
     qdiag = np.diag(q)
     diag_bins = np.nonzero(qdiag != 0.0)[0]
-    rows.append(n + 2 * m + np.concatenate([
-        ks, np.tile(ks, len(diag_bins)), np.tile(ks, nc)]))
-    cols.append(np.concatenate([
-        off_g + ks, (diag_bins[:, None] * m + ks).ravel(),
-        off_c + np.arange(nc * m)]))
-    vals.append(np.concatenate([
-        np.ones(m), np.repeat(-qdiag[diag_bins], m),
-        np.repeat(-(q[cpairs[:, 0], cpairs[:, 1]] + q[cpairs[:, 1], cpairs[:, 0]]), m)]))
-
+    ecoef = -d[epairs[:, 0], epairs[:, 1]]
+    ccoef = -(q[cpairs[:, 0], cpairs[:, 1]] + q[cpairs[:, 1], cpairs[:, 0]])
+    groups = [
+        # assign_i: sum_k x_i_k = 1
+        (xcols, np.ones(n * m)),
+        # setcover_k: sum_i x_i_k >= 1
+        (xcols.T, np.ones(n * m)),
+        # flowdef_k: f_k - sum_(i,j) d_ij e_i_j_k = 0
+        (np.column_stack([off_e + np.arange(ne * m).reshape(ne, m).T, off_f + ks]),
+         np.tile(np.append(ecoef, 1.0), m)),
+        # cohdef_k: g_k - sum_i q_ii x_i_k - sum_(i<j) (q_ij + q_ji) c_i_j_k = 0
+        (np.column_stack([xcols[diag_bins].T, off_c + np.arange(nc * m).reshape(nc, m).T,
+                          off_g + ks]),
+         np.tile(np.concatenate([-qdiag[diag_bins], ccoef, [1.0]]), m)),
+    ]
     # envelope rows of each product v = x_a * x_b, block by block:
     # p1: v - x_a <= 0, p2: v - x_b <= 0, p3: v - x_a - x_b >= -1
-    base = n + 3 * m
     for block in (blocks["e"], blocks["c"]):
         nv = block.size
         run, k0 = np.divmod(np.arange(nv), m)
         var = block.offset + np.arange(nv)
         xa = block.i[run] * m + k0
         xb = block.j[run] * m + (k0 + block.shift) % m
-        r1 = base + np.arange(nv)
-        r2, r3 = r1 + nv, r1 + 2 * nv
-        rows.append(np.concatenate([r1, r1, r2, r2, r3, r3, r3]))
-        cols.append(np.concatenate([var, xa, var, xb, var, xa, xb]))
-        vals.append(np.concatenate([np.ones(nv), -np.ones(nv), np.ones(nv), -np.ones(nv),
-                                    np.ones(nv), -np.ones(nv), -np.ones(nv)]))
-        base += 3 * nv
+        groups += [
+            (np.column_stack([xa, var]), np.tile([-1.0, 1.0], nv)),
+            (np.column_stack([xb, var]), np.tile([-1.0, 1.0], nv)),
+            (np.column_stack([np.minimum(xa, xb), np.maximum(xa, xb), var]),
+             np.tile([-1.0, -1.0, 1.0], nv)),
+        ]
+
+    row_len = np.concatenate([np.full(len(cols), cols.shape[1]) for cols, _ in groups])
+    matrix = csr_matrix((np.concatenate([vals for _, vals in groups]),
+                         np.concatenate([cols.ravel() for cols, _ in groups]),
+                         np.concatenate([[0], np.cumsum(row_len)])),
+                        shape=(len(row_len), ncols))
 
     counts = [n, m, m, m, ne * m, ne * m, ne * m, nc * m, nc * m, nc * m]
     senses = np.repeat(np.array(list("EGEELLGLLG")), counts)
     rhs = np.repeat([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0], counts)
-    matrix = csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(base, ncols),
-    )
     return MipInstance(matrix, senses, rhs, lb, ub, obj, binary, n=n, m=m,
                        alpha=alpha, weights=W, blocks=blocks)
 
@@ -381,20 +394,44 @@ _SYMBOL_SENSE = {v: k for k, v in _SENSE_SYMBOL.items()}
 # rows or columns: whole-model piece arrays would cost more memory than the
 # model itself.
 _CHUNK = 32768
-# term sign by (first term of its row, negative coefficient)
+# term sign by (first term of its row, coefficient not positive)
 _SIGNS = np.array([" + ", " - ", "", "- "], dtype=object)
 
 
-def _num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
+def _format(values: np.ndarray) -> np.ndarray:
+    """Text of each value as an object array: str(int(v)) for an integer
+    below 1e15 in magnitude, repr(v) otherwise. Each form is one C-level
+    pass, the repr or str of a list split at its separators."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot write a non-finite number")
+    ints = (values == np.trunc(values)) & (np.abs(values) < 1e15)
+    out = np.empty(len(values), dtype=object)
+    for mask, items in ((ints, values[ints].astype(np.int64).tolist()),
+                        (~ints, values[~ints].tolist())):
+        if items:
+            out[mask] = repr(items)[1:-1].split(", ")
+    return out
 
 
 def _num_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values formatted by _num, index of each entry among them)."""
+    """(distinct values formatted, index of each entry among them)."""
     uniq, inv = np.unique(values, return_inverse=True)
-    return np.array([_num(float(u)) for u in uniq], dtype=object), inv
+    return _format(uniq), inv
+
+
+def _row_tails(senses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The " <= rhs\\n" end of every row. Rows come in runs of one sense
+    and right-hand side, so each run's tail is made once."""
+    if not len(rhs):
+        return np.empty(0, dtype=object)
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (senses[1:] != senses[:-1]) | (rhs[1:] != rhs[:-1])]))
+    nums, at = _num_strings(rhs[starts])
+    tails = np.empty(len(starts), dtype=object)
+    tails[:] = [f" {_SENSE_SYMBOL[s]} {nums[k]}\n"
+                for s, k in zip(senses[starts].tolist(), at.tolist())]
+    return np.repeat(tails, np.diff(np.append(starts, len(rhs))))
 
 
 def _rows_text(head, tail, indptr, cols, vals, names) -> str:
@@ -404,12 +441,14 @@ def _rows_text(head, tail, indptr, cols, vals, names) -> str:
     column name."""
     nrows, nnz, width = len(tail), len(cols), len(head) + 1
     counts = np.diff(indptr)
-    first = np.zeros(nnz, dtype=bool)
-    first[indptr[:-1][counts > 0]] = True
-    mags, inv = np.unique(np.abs(vals), return_inverse=True)
-    coef = np.array(["" if u == 1.0 else _num(float(u)) + " " for u in mags],
-                    dtype=object)
-    leads = (_SIGNS[None, :] + coef[:, None]).ravel()
+    sign_at = np.where(vals > 0, 0, 1)
+    sign_at[indptr[:-1][counts > 0]] += 2
+    leads = _SIGNS[sign_at]
+    other = np.flatnonzero(np.abs(vals) != 1.0)
+    if other.size:
+        mags, inv = _num_strings(np.abs(vals[other]))
+        coef = _SIGNS[:, None] + (mags + " ")[None, :]
+        leads[other] = coef[sign_at[other], inv]
     # row r takes `width` pieces for head and tail plus two per term (lead
     # and name), so it starts at 2 * indptr[r] + width * r
     skip = width * np.arange(nrows)
@@ -418,7 +457,7 @@ def _rows_text(head, tail, indptr, cols, vals, names) -> str:
     pieces = np.empty(2 * nnz + width * nrows, dtype=object)
     for p, piece in enumerate(head):
         pieces[row_at + p] = piece
-    pieces[lead_at] = leads[4 * inv + 2 * first + ~(vals > 0)]
+    pieces[lead_at] = leads
     pieces[lead_at + 1] = names[cols]
     pieces[row_at + width - 1 + 2 * counts] = tail
     return "".join(pieces.tolist())
@@ -429,27 +468,25 @@ def _bounds_text(names, lb, ub) -> str:
     fixed = lb == ub
     if np.any(fixed & np.isinf(lb)):
         raise ValueError("a column is fixed at an infinite value")
-    # infinite bounds are never printed; 0 stands in so _num can run
-    lo, lo_at = _num_strings(np.where(np.isinf(lb), 0.0, lb))
-    hi, hi_at = _num_strings(np.where(np.isinf(ub), 0.0, ub))
-    lo, hi = lo[lo_at], hi[hi_at]
-    free = ~fixed & np.isinf(lb) & np.isinf(ub)
-    lower_only = ~fixed & ~np.isinf(lb) & np.isinf(ub)
-    upper_only = ~fixed & np.isinf(lb) & ~np.isinf(ub)
-    ranged = ~(fixed | free | lower_only | upper_only)
-    lines = np.empty(len(names), dtype=object)
+    has_lo, has_hi = ~np.isinf(lb), ~np.isinf(ub)
+    # infinite bounds are never printed; 0 stands in so they can be formatted
+    lo, lo_at = _num_strings(np.where(has_lo, lb, 0.0))
+    hi, hi_at = _num_strings(np.where(has_hi, ub, 0.0))
+    lo_end, hi_end, lo_start = (lo + "\n")[lo_at], (hi + "\n")[hi_at], (" " + lo)[lo_at]
+    # one line per row of a (columns, 5) piece table, unused cells empty
+    pieces = np.empty((len(names), 5), dtype=object)
+    pieces.fill("")
     for mask, parts in (
-        (fixed, (" ", names, " = ", lo)),
-        (free, (" ", names, " free")),
-        (lower_only, (" ", names, " >= ", lo)),
-        (upper_only, (" ", names, " <= ", hi)),
-        (ranged, (" ", lo, " <= ", names, " <= ", hi)),
+        (fixed, (" ", names, " = ", lo_end)),
+        (~fixed & ~has_lo & ~has_hi, (" ", names, " free\n")),
+        (~fixed & has_lo & ~has_hi, (" ", names, " >= ", lo_end)),
+        (~fixed & ~has_lo & has_hi, (" ", names, " <= ", hi_end)),
+        (~fixed & has_lo & has_hi, (lo_start, " <= ", names, " <= ", hi_end)),
     ):
-        line = np.full(int(mask.sum()), "", dtype=object)
-        for part in parts:
-            line += part if isinstance(part, str) else part[mask]
-        lines[mask] = line + "\n"
-    return "".join(lines.tolist())
+        at = np.flatnonzero(mask)
+        for p, part in enumerate(parts):
+            pieces[at, p] = part if isinstance(part, str) else part[at]
+    return "".join(pieces.ravel().tolist())
 
 
 def export_model(mip: MipInstance) -> str:
@@ -461,17 +498,14 @@ def export_model(mip: MipInstance) -> str:
                       np.array([0, len(obj_cols)]), obj_cols, mip.obj[obj_cols], names),
            "Subject To\n"]
     mat = mip.matrix
-    for lo in range(0, mip.nrows, _CHUNK):
-        hi = min(lo + _CHUNK, mip.nrows)
-        a, b = mat.indptr[lo], mat.indptr[hi]
-        kinds, kind_at = np.unique(mip.senses[lo:hi], return_inverse=True)
-        rhs, rhs_at = _num_strings(mip.rhs[lo:hi])
-        symbols = np.array([f" {_SENSE_SYMBOL[str(s)]} " for s in kinds], dtype=object)
-        tails = (symbols[:, None] + rhs[None, :] + "\n").ravel()
-        out.append(_rows_text([" ", mip.row_names(lo, hi, names), ": "],
-                              tails[kind_at * len(rhs) + rhs_at],
-                              mat.indptr[lo:hi + 1] - a, mat.indices[a:b],
-                              mat.data[a:b], names))
+    tails = _row_tails(mip.senses, mip.rhs)
+    for start, count, prefix, row_names in mip.row_segments(names):
+        for lo in range(start, start + count, _CHUNK):
+            hi = min(lo + _CHUNK, start + count)
+            a, b = mat.indptr[lo], mat.indptr[hi]
+            out.append(_rows_text([" " + prefix, row_names(lo - start, hi - start), ": "],
+                                  tails[lo:hi], mat.indptr[lo:hi + 1] - a,
+                                  mat.indices[a:b], mat.data[a:b], names))
     out.append("Bounds\n")
     for lo in range(0, mip.ncols, _CHUNK):
         hi = min(lo + _CHUNK, mip.ncols)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cycleclust import io
-from cycleclust.cli import main
+from cycleclust.cli import _load_weights, main
 from cycleclust.generate import MultiwayCutInstance
+from cycleclust.mip import build_mip, export_model
 
 
 def run(*argv) -> int:
@@ -93,6 +94,24 @@ def test_export_lp_contains_symmetry_fix(tmp_path):
     lp = tmp_path / "model.lp"
     assert run("export-lp", out / "matrix.fm", "-m", 3, "--out", lp) == 0
     assert " x_1_1 = 1" in lp.read_text().splitlines()
+
+
+def test_written_model_lp_is_the_exported_text(tmp_path, monkeypatch):
+    """solve --emit-lp and export-lp write export_model's text byte for
+    byte, also when it spans several write slices."""
+    import cycleclust.cli as cli
+
+    monkeypatch.setattr(cli, "LP_WRITE_SLICE", 1000)
+    run("generate", "omega3", "--out", tmp_path / "in", "--seed", 3,
+        "--steps", 600, "--bins", 7)
+    matrix = tmp_path / "in" / "matrix.tm"
+    expected = export_model(build_mip(_load_weights(str(matrix))[0], 3, 0.001)).encode()
+    assert len(expected) > 10 * cli.LP_WRITE_SLICE
+    assert run("solve", matrix, "-m", 3, "--out", tmp_path / "sol", "--emit-lp",
+               "--node-limit", 0) == 0
+    assert run("export-lp", matrix, "-m", 3, "--out", tmp_path / "model.lp") == 0
+    assert (tmp_path / "sol" / "model.lp").read_bytes() == expected
+    assert (tmp_path / "model.lp").read_bytes() == expected
 
 
 def test_multiway_cut_generation(tmp_path):

@@ -12,8 +12,16 @@ from cycleclust.errors import (
     ObjectiveMismatchError,
 )
 from cycleclust.generate.triangle import triangle_fixture
-from cycleclust.markov import FlowMatrix, coherence, net_flow
+from cycleclust.markov import (
+    FlowMatrix,
+    coherence,
+    flow_matrix,
+    net_flow,
+    stationary_distribution,
+    validate_stochastic,
+)
 from cycleclust.mip import (
+    _format,
     build_mip,
     clustering_from_solution,
     export_model,
@@ -24,6 +32,7 @@ from cycleclust.mip import (
     structurally_equal,
 )
 
+from mip_oracle import num, triplet_build_mip
 from util import random_chain
 
 
@@ -120,6 +129,58 @@ class TestBuildMip:
                     direct.total, abs=1e-10)
 
 
+def zero_diagonal_flow(n, seed):
+    """Flow of a dense random chain that never stays put: q_ii = 0."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random((n, n)) + 0.05
+    np.fill_diagonal(raw, 0.0)
+    P = validate_stochastic(raw / raw.sum(axis=1, keepdims=True))
+    return flow_matrix(P, stationary_distribution(P))
+
+
+@pytest.mark.parametrize("w, m", [
+    *[(random_chain(n, 40 + n)[2], m) for n in range(6, 13) for m in (3, 4)],
+    (zero_diagonal_flow(7, 1), 3),
+    (symmetric_flow(6, 2), 3),
+    (random_chain(4, 3)[2], 4),
+    (random_chain(5, 4)[2], 5),
+], ids=[*[f"dense-n{n}-m{m}" for n in range(6, 13) for m in (3, 4)],
+        "zero-diagonal", "symmetric", "n-equals-m-4", "n-equals-m-5"])
+def test_direct_csr_build_matches_triplet_build(w, m):
+    """build_mip writes the CSR arrays in row order; the COO build of the
+    same triplets must give the same arrays, entry for entry."""
+    mip, ref = build_mip(w, m, 0.001), triplet_build_mip(w, m, 0.001)
+    assert structurally_equal(mip, ref)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mip.matrix, attr), getattr(ref.matrix, attr)), attr
+
+
+def test_zero_diagonal_and_symmetric_models_lack_their_terms():
+    """The oracle cases above cover what they claim: no q_ii x terms in
+    cohdef when the diagonal is zero, no e columns when W is symmetric."""
+    mip = build_mip(zero_diagonal_flow(7, 1), 3, 0.001)
+    for k in (1, 2, 3):
+        _, coefs, _, _ = mip.constraint(mip.row_names().tolist().index(f"cohdef_{k}"))
+        assert not any(c < mip.blocks["e"].offset for c in coefs)
+    assert build_mip(symmetric_flow(6, 2), 3, 0.001).blocks["e"].size == 0
+
+
+FORMAT_CASES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e15 - 1, 1e15, 1e16, 0.1, 1.0 / 3.0,
+                5e-324, -2.5e-7, 2.0 ** 53]
+
+
+def test_vectorized_format_matches_scalar_format():
+    values = np.array(FORMAT_CASES + [-v for v in FORMAT_CASES])
+    assert _format(values).tolist() == [num(float(v)) for v in values]
+    assert _format(np.array([])).tolist() == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vectorized_format_refuses_non_finite(bad):
+    with pytest.raises(ValueError):
+        _format(np.array([1.0, bad]))
+
+
 class TestLpExport:
     def test_round_trip_identity(self):
         _, _, w = random_chain(5, 7)
@@ -136,10 +197,8 @@ class TestLpExport:
         assert " x_1_1 = 1" in lines[bounds_at:]
 
     def test_triangle_coefficient_precision(self):
-        from cycleclust.mip import _num
-
         # the format rule: the double 0.1/9 prints with 17 significant digits
-        token = _num(0.1 / 9.0)
+        token = _format(np.array([0.1 / 9.0]))[0]
         digits = token.replace("0.", "", 1).lstrip("0")
         assert len(digits) >= 17
         assert float(token) == 0.1 / 9.0
@@ -148,8 +207,8 @@ class TestLpExport:
         text = export_model(build_mip(w, 3, 0.001))
         coef = float(w.entries[0, 1] - w.entries[1, 0])
         assert coef == pytest.approx(0.1 / 9.0, abs=1e-15)
-        assert _num(coef) in text
-        assert float(_num(coef)) == coef
+        assert num(coef) in text
+        assert float(num(coef)) == coef
 
     def test_export_is_deterministic(self):
         _, _, w = random_chain(4, 9)

@@ -311,6 +311,20 @@ def test_standard_form_is_structurals_and_slacks_with_pinned_scaling():
         "b7857c28f14675607b664a05dba47c07646b6d116475f25ab3f96ef4da3f37b9"
 
 
+def test_at_times_is_bitwise_the_sparse_product():
+    """StandardLp.at_times calls scipy's private csr_matvec kernel; a scipy
+    release that changes its signature or its arithmetic fails here."""
+    _, _, w = random_chain(9, 11)
+    std = StandardLp(build_mip(w, 3, 0.001))
+    rng = np.random.default_rng(0)
+    out = np.full(std.ncols, np.nan)
+    for v in (rng.standard_normal(std.nrows), np.zeros(std.nrows),
+              np.eye(std.nrows)[3]):
+        assert std.at_times(v, out) is out
+        assert (out == std.AT @ v).all()
+        assert out.tobytes() == (std.AT @ v).tobytes()
+
+
 def branched_root(n: int, seed: int):
     """The standard form, the root engine after a cold solve, the root's
     most fractional binary column j, and the scaled (lb, ub) of the two
