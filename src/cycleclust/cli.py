@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -222,6 +223,16 @@ def cmd_export_lp(args) -> int:
     return 0
 
 
+def _limit(kind):
+    """argparse type: a `kind` number that is finite and not negative."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:  # also refuses NaN
+            raise argparse.ArgumentTypeError(f"must be finite and not negative, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycleclust",
@@ -253,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default="solution")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--config", default=None)
-    s.add_argument("--time-limit", type=float, default=None)
-    s.add_argument("--gap-tol", type=float, default=None)
-    s.add_argument("--node-limit", type=int, default=None)
+    s.add_argument("--time-limit", type=_limit(float), default=None)
+    s.add_argument("--gap-tol", type=_limit(float), default=None)
+    s.add_argument("--node-limit", type=_limit(int), default=None)
     s.add_argument("--node-selection", choices=NODE_SELECTIONS, default=None)
     s.add_argument("--emit-lp", action="store_true")
     s.set_defaults(func=cmd_solve)

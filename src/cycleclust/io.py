@@ -144,11 +144,17 @@ def write_solve_report(path, result: SolveResult) -> None:
 
 def read_solver_config(path) -> SolverConfig:
     doc = _read_json_object(path)
-    for key in ("gap_tol", "time_limit_s", "node_limit"):
+    for key, kind, what in (("gap_tol", (int, float), "a number"),
+                            ("time_limit_s", (int, float), "a number"),
+                            ("node_limit", int, "an integer")):
         value = doc.get(key)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, float))):
-            raise FileFormatError(f"{path}: {key} must be a number, got {value!r}")
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise FileFormatError(f"{path}: {key} must be {what}, got {value!r}")
+        if not 0 <= value < math.inf:  # also refuses NaN
+            raise FileFormatError(f"{path}: {key} must be finite and not negative, "
+                                  f"got {value!r}")
     selection = doc.get("node_selection", "best_bound")
     if selection not in NODE_SELECTIONS:
         raise FileFormatError(f"{path}: node_selection must be one of "

@@ -11,11 +11,14 @@ and per-row `senses` and `rhs` beside the CSR `matrix`. A model from
 - g: g_1..g_m, the coherence of each cluster.
 
 Each `ColumnBlock` keeps its offset and the 0-based pair arrays (i, j) it
-was built from, so a column's meaning is offset arithmetic. Rows follow
-the columns: assign_i, setcover_k, flowdef_k, cohdef_k, then for the e and
-then the c block its p1, p2 and p3 envelope rows, each in block column
-order. build_mip writes the CSR arrays directly in that row order, each
-row's columns ascending by construction, with no triplets and no sort.
+was built from, so a column's meaning is offset arithmetic. Rows come in
+groups, whose names, sizes and product columns build_mip records as
+`row_groups`: assign_i, setcover_k, flowdef_k, cohdef_k, then for the e and
+then the c block the envelope rows the objective can bind, in column order:
+p1 and p2 (v <= x_a, v <= x_b) over every c column and the e columns with
+d_ij > 0, then p3 (v >= x_a + x_b - 1) over the e columns with d_ij < 0.
+build_mip writes the CSR arrays directly in that row order, each row's
+columns ascending by construction, with no triplets and no sort.
 
 Names such as x_1_2 or p3_e_4_7_1 are formatted only where a name is the
 output: export_model, parse_model, MipInstance.constraint and
@@ -106,13 +109,14 @@ def _span_names(segments, lo: int, hi: int) -> np.ndarray:
 class MipInstance:
     """Immutable model: column arrays plus sparse linear constraints.
 
-    Give either `blocks` (a tag -> ColumnBlock mapping in column order, with
-    build_mip's row layout) or explicit `col_names` and `row_names`.
+    Give either `blocks` (a tag -> ColumnBlock mapping in column order) and
+    `row_groups` (build_mip's rows: a (name, count, product columns) run per
+    row group, see row_segments) or explicit `col_names` and `row_names`.
     """
 
     def __init__(self, matrix, senses, rhs, lb, ub, obj, binary, *, n, m,
-                 alpha, weights=None, blocks=None, col_names=None,
-                 row_names=None):
+                 alpha, weights=None, blocks=None, row_groups=None,
+                 col_names=None, row_names=None):
         self.matrix = matrix.tocsr()
         self.matrix.sort_indices()
         self.senses = np.asarray(senses, dtype="<U1")
@@ -125,10 +129,10 @@ class MipInstance:
         self.m = m
         self.alpha = alpha
         self.weights = weights
-        self.blocks = blocks
-        if blocks is None:
+        self.blocks, self.row_groups = blocks, row_groups
+        if blocks is None or row_groups is None:
             if col_names is None or row_names is None:
-                raise ValueError("an instance without blocks needs column and row names")
+                raise ValueError("an instance without a layout needs column and row names")
             self._col_names = _read_only(col_names, object)
             self._row_names = _read_only(row_names, object)
         shape = (len(self.senses), len(self.lb))
@@ -155,27 +159,24 @@ class MipInstance:
     def row_segments(self, col_names: np.ndarray | None = None) -> list:
         """(start, count, prefix, names(a, b)) for each run of rows named
         `prefix` followed by names(a, b) of the run's local rows a..b-1.
-        Envelope rows are named after their product column; passing all
-        `col_names` saves formatting those again."""
-        if self.blocks is None:
+        A row group without product columns numbers its rows (assign_1);
+        an envelope group names each row after its product column
+        (p1_e_1_2_1). Passing all `col_names` saves formatting those again."""
+        if self.row_groups is None:
             return [(0, self.nrows, "", lambda a, b: self._row_names[a:b])]
 
-        def columns(a, b):
-            return self.column_names(a, b) if col_names is None else col_names[a:b]
+        def names(cols):
+            if cols is None:
+                return lambda a, b: _labels("", np.arange(a, b))
+            if col_names is not None:
+                return lambda a, b: col_names[cols[a:b]]
+            # product columns ascend: name the span they cover, then pick
+            return lambda a, b: self.column_names(cols[a], cols[b - 1] + 1)[
+                cols[a:b] - cols[a]]
 
-        n, m = self.n, self.m
-        segments, start = [], 0
-        for prefix, count in (("assign", n), ("setcover", m), ("flowdef", m), ("cohdef", m)):
-            segments.append((start, count, "",
-                             lambda a, b, p=prefix: _labels(p, np.arange(a, b))))
-            start += count
-        for tag in ("e", "c"):
-            at, size = self.blocks[tag].offset, self.blocks[tag].size
-            for t in (1, 2, 3):
-                segments.append((start, size, f"p{t}_",
-                                 lambda a, b, at=at: columns(at + a, at + b)))
-                start += size
-        return segments
+        starts = np.cumsum([0] + [count for _, count, _ in self.row_groups]).tolist()
+        return [(start, count, prefix, names(cols))
+                for start, (prefix, count, cols) in zip(starts, self.row_groups)]
 
     def row_names(self, lo: int = 0, hi: int | None = None,
                   col_names: np.ndarray | None = None) -> np.ndarray:
@@ -226,8 +227,8 @@ def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     """Assemble the linearized clustering model for a fixed cluster count.
 
     Emits assignment and covering rows, flow/coherence defining equalities
-    over product variables, all three bounding rows per product, and the
-    symmetry-breaking fix x_1_1 = 1.
+    over product variables, the envelope rows of each product that the
+    objective can bind, and the symmetry-breaking fix x_1_1 = 1.
     """
     n = W.n
     if m < 3 or m > n:
@@ -262,54 +263,53 @@ def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     binary = np.zeros(ncols, dtype=bool)
     binary[:off_e] = True
 
-    # Each row group is a (rows, width) table of ascending column indices
-    # and one of coefficients, so the CSR arrays are their concatenation in
-    # row order and need no sort. Every x column precedes every product
-    # column, and every product column precedes f and g.
+    # Each row group is (name, product columns, columns, coefficients, sense,
+    # rhs): a (rows, width) table of ascending column indices whose every row
+    # takes the same `width` coefficients, so the CSR arrays need no sort. Every
+    # x column precedes every product column, which precedes f and g.
     xcols = np.arange(n * m).reshape(n, m)
     qdiag = np.diag(q)
     diag_bins = np.nonzero(qdiag != 0.0)[0]
     ecoef = -d[epairs[:, 0], epairs[:, 1]]
     ccoef = -(q[cpairs[:, 0], cpairs[:, 1]] + q[cpairs[:, 1], cpairs[:, 0]])
+    ecols = off_e + np.arange(ne * m).reshape(ne, m).T
+    ccols = off_c + np.arange(nc * m).reshape(nc, m).T
     groups = [
         # assign_i: sum_k x_i_k = 1
-        (xcols, np.ones(n * m)),
+        ("assign", None, xcols, np.ones(m), "E", 1.0),
         # setcover_k: sum_i x_i_k >= 1
-        (xcols.T, np.ones(n * m)),
+        ("setcover", None, xcols.T, np.ones(n), "G", 1.0),
         # flowdef_k: f_k - sum_(i,j) d_ij e_i_j_k = 0
-        (np.column_stack([off_e + np.arange(ne * m).reshape(ne, m).T, off_f + ks]),
-         np.tile(np.append(ecoef, 1.0), m)),
+        ("flowdef", None, np.column_stack([ecols, off_f + ks]), np.append(ecoef, 1.0),
+         "E", 0.0),
         # cohdef_k: g_k - sum_i q_ii x_i_k - sum_(i<j) (q_ij + q_ji) c_i_j_k = 0
-        (np.column_stack([xcols[diag_bins].T, off_c + np.arange(nc * m).reshape(nc, m).T,
-                          off_g + ks]),
-         np.tile(np.concatenate([-qdiag[diag_bins], ccoef, [1.0]]), m)),
+        ("cohdef", None, np.column_stack([xcols[diag_bins].T, ccols, off_g + ks]),
+         np.concatenate([-qdiag[diag_bins], ccoef, [1.0]]), "E", 0.0),
     ]
-    # envelope rows of each product v = x_a * x_b, block by block:
-    # p1: v - x_a <= 0, p2: v - x_b <= 0, p3: v - x_a - x_b >= -1
-    for block in (blocks["e"], blocks["c"]):
-        nv = block.size
-        run, k0 = np.divmod(np.arange(nv), m)
-        var = block.offset + np.arange(nv)
+    # Envelope rows of each product v = x_a * x_b. The model maximizes and v
+    # enters only its flowdef or cohdef row: where its coefficient there is
+    # negative (f or g rises with v) only p1: v - x_a <= 0 and p2: v - x_b <= 0
+    # can bind, elsewhere only p3: v - x_a - x_b >= -1.
+    for block, coef in ((blocks["e"], ecoef), (blocks["c"], ccoef)):
+        run, k0 = np.divmod(np.arange(block.size), m)
+        var = block.offset + np.arange(block.size)
         xa = block.i[run] * m + k0
         xb = block.j[run] * m + (k0 + block.shift) % m
-        groups += [
-            (np.column_stack([xa, var]), np.tile([-1.0, 1.0], nv)),
-            (np.column_stack([xb, var]), np.tile([-1.0, 1.0], nv)),
-            (np.column_stack([np.minimum(xa, xb), np.maximum(xa, xb), var]),
-             np.tile([-1.0, -1.0, 1.0], nv)),
-        ]
+        up = coef[run] < 0  # never 0: d_ij != 0 and q_ij + q_ji > 0
+        lower = np.column_stack([np.minimum(xa, xb), np.maximum(xa, xb), var])[~up]
+        groups += [("p1_", var[up], np.column_stack([xa, var])[up], [-1.0, 1.0], "L", 0.0),
+                   ("p2_", var[up], np.column_stack([xb, var])[up], [-1.0, 1.0], "L", 0.0),
+                   ("p3_", var[~up], lower, [-1.0, -1.0, 1.0], "G", -1.0)]
 
-    row_len = np.concatenate([np.full(len(cols), cols.shape[1]) for cols, _ in groups])
-    matrix = csr_matrix((np.concatenate([vals for _, vals in groups]),
-                         np.concatenate([cols.ravel() for cols, _ in groups]),
-                         np.concatenate([[0], np.cumsum(row_len)])),
-                        shape=(len(row_len), ncols))
-
-    counts = [n, m, m, m, ne * m, ne * m, ne * m, nc * m, nc * m, nc * m]
-    senses = np.repeat(np.array(list("EGEELLGLLG")), counts)
-    rhs = np.repeat([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0], counts)
-    return MipInstance(matrix, senses, rhs, lb, ub, obj, binary, n=n, m=m,
-                       alpha=alpha, weights=W, blocks=blocks)
+    prefixes, products, tables, coefs, senses, rhs = zip(*groups)
+    counts = [len(table) for table in tables]
+    matrix = csr_matrix((np.concatenate([np.tile(c, k) for c, k in zip(coefs, counts)]),
+                         np.concatenate([table.ravel() for table in tables]),
+                         np.append(0, np.cumsum(np.repeat([len(c) for c in coefs], counts)))),
+                        shape=(sum(counts), ncols))
+    return MipInstance(matrix, np.repeat(senses, counts), np.repeat(rhs, counts), lb, ub,
+                       obj, binary, n=n, m=m, alpha=alpha, weights=W, blocks=blocks,
+                       row_groups=list(zip(prefixes, counts, products)))
 
 
 def model_objective_value(mip: MipInstance, values: np.ndarray) -> float:

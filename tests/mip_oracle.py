@@ -4,7 +4,9 @@
 `triplet_build_mip` assembles build_mip's model from (row, column, value)
 triplets through a COO matrix, whose conversion sorts the entries of each
 row; build_mip writes its CSR arrays directly and must give the same
-arrays.
+arrays. With `one_sided=False` it builds the paper's model instead, with
+all three envelope rows p1, p2 and p3 for every product: the reference
+whose LP relaxation and optimum build_mip's must equal.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ def num(v: float) -> str:
     return repr(float(v))
 
 
-def triplet_build_mip(W, m: int, alpha: float) -> MipInstance:
+def triplet_build_mip(W, m: int, alpha: float, one_sided: bool = True) -> MipInstance:
     n = W.n
     q = W.entries
     d = q - q.T
@@ -78,28 +80,40 @@ def triplet_build_mip(W, m: int, alpha: float) -> MipInstance:
     vals.append(np.concatenate([
         np.ones(m), np.repeat(-qdiag[diag_bins], m),
         np.repeat(-(q[cpairs[:, 0], cpairs[:, 1]] + q[cpairs[:, 1], cpairs[:, 0]]), m)]))
-    # envelope rows p1, p2, p3 of the e and then the c block
+    # envelope rows of the e and then the c block: p1 and p2 over the
+    # products that raise f or g (e with d_ij > 0, every c), then p3 over
+    # those that lower f (e with d_ij < 0); every row for every product
+    # when not one-sided
+    groups = [("assign", n, None), ("setcover", m, None), ("flowdef", m, None),
+              ("cohdef", m, None)]
+    senses = list("EGEE")
+    rhs = [1.0, 1.0, 0.0, 0.0]
     base = n + 3 * m
-    for block in (blocks["e"], blocks["c"]):
-        nv = block.size
-        run, k0 = np.divmod(np.arange(nv), m)
-        var = block.offset + np.arange(nv)
+    for block, raises in ((blocks["e"], d[epairs[:, 0], epairs[:, 1]] > 0),
+                          (blocks["c"], np.ones(nc, dtype=bool))):
+        run, k0 = np.divmod(np.arange(block.size), m)
+        var = block.offset + np.arange(block.size)
         xa = block.i[run] * m + k0
         xb = block.j[run] * m + (k0 + block.shift) % m
-        r1 = base + np.arange(nv)
-        r2, r3 = r1 + nv, r1 + 2 * nv
-        rows.append(np.concatenate([r1, r1, r2, r2, r3, r3, r3]))
-        cols.append(np.concatenate([var, xa, var, xb, var, xa, xb]))
-        vals.append(np.concatenate([np.ones(nv), -np.ones(nv), np.ones(nv), -np.ones(nv),
-                                    np.ones(nv), -np.ones(nv), -np.ones(nv)]))
-        base += 3 * nv
+        up = raises[run] | (not one_sided)
+        low = ~raises[run] | (not one_sided)
+        for prefix, keep, others, sense, b in (("p1_", up, [xa], "L", 0.0),
+                                               ("p2_", up, [xb], "L", 0.0),
+                                               ("p3_", low, [xa, xb], "G", -1.0)):
+            r = base + np.arange(int(keep.sum()))
+            rows.append(np.tile(r, 1 + len(others)))
+            cols.append(np.concatenate([var[keep]] + [x[keep] for x in others]))
+            vals.append(np.concatenate([np.ones(len(r))] + [-np.ones(len(r))] * len(others)))
+            groups.append((prefix, len(r), var[keep]))
+            senses.append(sense)
+            rhs.append(b)
+            base += len(r)
 
-    counts = [n, m, m, m, ne * m, ne * m, ne * m, nc * m, nc * m, nc * m]
-    senses = np.repeat(np.array(list("EGEELLGLLG")), counts)
-    rhs = np.repeat([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0], counts)
+    counts = [count for _, count, _ in groups]
     matrix = csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(base, ncols),
     )
-    return MipInstance(matrix, senses, rhs, lb, ub, obj, binary, n=n, m=m,
-                       alpha=alpha, weights=W, blocks=blocks)
+    return MipInstance(matrix, np.repeat(senses, counts), np.repeat(rhs, counts),
+                       lb, ub, obj, binary, n=n, m=m, alpha=alpha, weights=W,
+                       blocks=blocks, row_groups=groups)

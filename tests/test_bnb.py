@@ -65,7 +65,8 @@ def test_infeasible_root_reported_without_incumbent():
     lb[col], ub[col] = 1.0, 0.0
     broken = MipInstance(mip.matrix, mip.senses, mip.rhs, lb, ub, mip.obj,
                          mip.binary, n=mip.n, m=mip.m, alpha=mip.alpha,
-                         weights=mip.weights, blocks=mip.blocks)
+                         weights=mip.weights, blocks=mip.blocks,
+                         row_groups=mip.row_groups)
     cfg = SolverConfig(heuristics=HeuristicsConfig(False, False, False))
     res = branch_and_bound(broken, w, cfg)
     assert res.status == "infeasible"

@@ -286,6 +286,18 @@ def test_bad_config_is_a_format_error(tmp_path, capsys, text):
     assert not (tmp_path / "sol" / "report.json").exists()
 
 
+@pytest.mark.parametrize("option", ["--node-limit=-1", "--gap-tol=-0.5", "--gap-tol=nan",
+                                    "--time-limit=-5", "--time-limit=inf"])
+def test_negative_or_non_finite_solver_limit_is_a_usage_error(tmp_path, capsys, option):
+    out = tmp_path / "tri"
+    run("generate", "triangle", "--out", out)
+    with pytest.raises(SystemExit) as exc:
+        run("solve", out / "matrix.fm", "-m", 3, "--out", tmp_path / "sol", option)
+    assert exc.value.code == 2
+    assert "must be finite and not negative" in capsys.readouterr().err
+    assert not (tmp_path / "sol" / "report.json").exists()
+
+
 @pytest.mark.parametrize("text", ['{"n": 9,', '"n"', '{"n": "nine", "m": 3, '
                                   '"assignment": [], "alpha": 0, "objective": {}}'])
 def test_verify_of_a_malformed_clustering_is_a_format_error(tmp_path, text):

@@ -121,6 +121,14 @@ def test_manifest_round_trip(tmp_path):
     '{"gap_tol": "tight"}',
     '{"time_limit_s": "60"}',
     '{"node_limit": true}',
+    '{"node_limit": 2.5}',
+    '{"node_limit": 2.0}',
+    '{"node_limit": -1}',
+    '{"gap_tol": -1}',
+    '{"gap_tol": NaN}',
+    '{"gap_tol": Infinity}',
+    '{"time_limit_s": -5}',
+    '{"time_limit_s": Infinity}',
 ])
 def test_solver_config_rejects_unknown_values(tmp_path, doc):
     path = tmp_path / "cfg.json"

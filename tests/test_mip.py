@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cycleclust.clustering import CycleClustering, objective
 from cycleclust.errors import (
@@ -94,6 +95,11 @@ class TestBuildMip:
                                if q[i, j] + q[j, i] > 0.0)
             assert ne == expect_e
             assert nc == expect_c
+            # two upper envelope rows per product that raises f or g, one
+            # lower row per product that lowers f
+            raise_f = sum(1 for i in range(n) for j in range(n) if q[i, j] > q[j, i])
+            lower_f = sum(1 for i in range(n) for j in range(n) if q[i, j] < q[j, i])
+            assert mip.nrows == n + 3 * m + 2 * (m * raise_f + nc) + m * lower_f
 
     def test_exactness_over_all_small_clusterings(self):
         """Implied product values satisfy the model and reproduce the
@@ -153,6 +159,33 @@ def test_direct_csr_build_matches_triplet_build(w, m):
     assert structurally_equal(mip, ref)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(mip.matrix, attr), getattr(ref.matrix, attr)), attr
+
+
+def highs_optimum(mip, integral: bool) -> float:
+    """Optimum of `mip` by HiGHS: the MILP, or its LP relaxation."""
+    lo = np.where(mip.senses == "L", -np.inf, mip.rhs)
+    hi = np.where(mip.senses == "G", np.inf, mip.rhs)
+    res = milp(-mip.obj, constraints=LinearConstraint(mip.matrix, lo, hi),
+               bounds=Bounds(mip.lb, mip.ub), integrality=mip.binary if integral else None,
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("w, m", [
+    *[(random_chain(n, 40 + n)[2], m) for n in range(6, 10) for m in (3, 4)],
+    (zero_diagonal_flow(7, 1), 3),
+    (symmetric_flow(6, 2), 3),
+], ids=[*[f"dense-n{n}-m{m}" for n in range(6, 10) for m in (3, 4)],
+        "zero-diagonal", "symmetric"])
+def test_one_sided_envelope_keeps_bound_and_optimum(w, m):
+    """Dropping the envelope rows the objective cannot bind leaves the LP
+    relaxation and the MILP optimum of the paper's three-row model."""
+    mip, ref = build_mip(w, m, 0.001), triplet_build_mip(w, m, 0.001, one_sided=False)
+    assert mip.nrows < ref.nrows
+    for integral in (False, True):
+        assert highs_optimum(mip, integral) == pytest.approx(
+            highs_optimum(ref, integral), rel=1e-9)
 
 
 def test_zero_diagonal_and_symmetric_models_lack_their_terms():
@@ -272,14 +305,14 @@ def test_export_matches_golden_file():
 
 
 def test_export_bytes_pinned_on_larger_model():
-    """Byte-for-byte stability on a 12-bin, four-cluster model: 3,302 lines
+    """Byte-for-byte stability on a 12-bin, four-cluster model: 2,246 lines
     that span every row and column block."""
     import hashlib
 
     text = export_model(build_mip(random_chain(12, 5)[2], 4, 0.001))
-    assert len(text.encode()) == 140413
+    assert len(text.encode()) == 96193
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ee60d3df152f7967a4df1094145fddccddc38dd4220f41a3a0cf92d9c7f60923")
+        "ec735beb95818815e815c87917459fc66ada722bcc98c4f6fdf55f044c71de77")
 
 
 HAND_MADE_LP = """\
