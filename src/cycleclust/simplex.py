@@ -46,6 +46,9 @@ COND_LIMIT = 1e12
 # a recovery is a clean-up from a nearly optimal basis, not a fresh solve
 RECOVERY_ITER_LIMIT = 1000
 _ETA_BYTE_BUDGET = 1.2e8
+# factorizations of the bases solves last started from, per StandardLp: both
+# children of a branch-and-bound node start from their parent's final basis
+_STARTING_LUS = 2
 # Row means count two unit entries beside the structural ones: the slack and
 # the artificial column the layout used to carry. Each adds log2(1) + r - r
 # = 0, so keeping the count keeps every scale factor, and every pivot.
@@ -128,6 +131,7 @@ class StandardLp:
         self.base_ub = np.concatenate([mip.ub, slack_ub]) / self.col_scale
         self.c = np.concatenate([mip.obj, np.zeros(nrows)]) * self.col_scale
         self.default_iter_limit = 200 * (mip.nrows + mip.ncols)
+        self.starting_lus: dict = {}  # basis bytes -> SuperLU, oldest first
 
     def at_times(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A' v into `out`, a float64 buffer of ncols entries. This is the
@@ -161,12 +165,25 @@ class _Factors:
     update appends to it and the triangular solves need no copy.
     """
 
-    def __init__(self, A: csc_matrix, basis: np.ndarray):
+    def __init__(self, A: csc_matrix, basis: np.ndarray, known: dict | None = None):
+        """Factorize `basis`, or take its LU from `known` (basis bytes ->
+        SuperLU) and add it there: a basis factorizes the same every time."""
         self.A = A
         self.dim = A.shape[0]
         self.max_etas = max(8, min(100, int(_ETA_BYTE_BUDGET / (8 * max(self.dim, 1)))))
         self.G = None  # allocated at the first update
+        if known is None:
+            self.refactor(basis)
+            return
+        key = basis.tobytes()
+        if key in known:
+            self.lu = known[key]
+            self.k = 0
+            return
         self.refactor(basis)
+        if len(known) >= _STARTING_LUS:
+            del known[next(iter(known))]
+        known[key] = self.lu
 
     def refactor(self, basis: np.ndarray):
         B = self.A[:, basis].tocsc()
@@ -201,6 +218,17 @@ class _Factors:
             s = dtpsv(k, self.L, self.G[:k] @ v, overwrite_x=1)  # L' s = G v
             v = v.copy()
             # a position pivoted twice gets both terms
+            np.subtract.at(v, self.R[:k], s)
+        return self.lu.solve(v, trans="T")
+
+    def btran_unit(self, r: int) -> np.ndarray:
+        """B^-T e_r, row r of B^-1: btran of the unit vector, reading G e_r
+        off as column r of G instead of forming the product."""
+        v = np.zeros(self.dim)
+        v[r] = 1.0
+        k = self.k
+        if k:
+            s = dtpsv(k, self.L, self.G[:k, r].copy(), overwrite_x=1)
             np.subtract.at(v, self.R[:k], s)
         return self.lu.solve(v, trans="T")
 
@@ -264,7 +292,7 @@ class SimplexEngine:
         self.vals = np.where(self.stat == AT_LB, self.lb,
                              np.where(self.stat == AT_UB, self.ub, 0.0))
         self.vals[self.basis] = 0.0
-        self.factor = _Factors(self.std.A, self.basis)
+        self.factor = _Factors(self.std.A, self.basis, self.std.starting_lus)
         self._recompute_basics()
 
     def objective(self) -> float:
@@ -277,6 +305,27 @@ class SimplexEngine:
     def _reduced_costs(self, costs: np.ndarray) -> np.ndarray:
         y = self.factor.btran(costs[self.basis])
         return costs - self.std.at_times(y, self._at_v)
+
+    def _directions(self, movable: np.ndarray):
+        """The way each column may leave its bound, kept up to date by the
+        loops as statuses change: +1 up from the lower bound, -1 down from
+        the upper bound, 0 for basics and fixed columns; and the mask of
+        free nonbasics, which may move either way. A pricing or ratio test
+        then takes one product with these instead of a test per status."""
+        direction = (movable & (self.stat == AT_LB)).astype(float)
+        direction[movable & (self.stat == AT_UB)] = -1.0
+        return direction, movable & (self.stat == FREE_NB)
+
+    def _leave(self, j: int, to_lb: bool, movable: np.ndarray, direction: np.ndarray):
+        """Make column j nonbasic at its lower or upper bound."""
+        self.stat[j] = AT_LB if to_lb else AT_UB
+        self.vals[j] = self.lb[j] if to_lb else self.ub[j]
+        direction[j] = (1.0 if to_lb else -1.0) if movable[j] else 0.0
+
+    def _basics_back(self, xb: np.ndarray, state: str) -> str:
+        """Write the basics' values into self.vals and pass `state` on."""
+        self.vals[self.basis] = xb
+        return state
 
     # -- primal simplex -----------------------------------------------------
 
@@ -291,20 +340,26 @@ class SimplexEngine:
         costs = std.c
         violated = np.zeros(std.nrows, dtype=bool)
         movable = (self.ub - self.lb) > 0.0
+        direction, free = self._directions(movable)
+        has_free = bool(free.any())
+        # the basics' values and bounds in basis order, kept up to date here;
+        # the basics' entries of self.vals are written back on return
+        xb = self.vals[self.basis]
+        lo_b = self.lb[self.basis]
+        hi_b = self.ub[self.basis]
         while True:
             if self._out_of_budget():
-                return "limit"
+                return self._basics_back(xb, "limit")
             if self.factor.needs_refactor:
                 self._refactor_and_refresh()
-            xb = self.vals[self.basis]
-            lo = self.lb[self.basis]
-            hi = self.ub[self.basis]
+                xb = self.vals[self.basis]
+            lo, hi = lo_b, hi_b
             if phase1:
                 below = xb < lo - FEAS_TOL
                 above = xb > hi + FEAS_TOL
                 violated = below | above
                 if not violated.any():
-                    return "optimal"
+                    return self._basics_back(xb, "optimal")
                 costs = np.zeros(std.ncols)
                 costs[self.basis[below]] = 1.0
                 costs[self.basis[above]] = -1.0
@@ -312,23 +367,23 @@ class SimplexEngine:
                 lo, hi = (np.where(below, -math.inf, np.where(above, hi, lo)),
                           np.where(above, math.inf, np.where(below, lo, hi)))
             d = self._reduced_costs(costs)
-            nb = np.flatnonzero(movable & (self.stat != BASIC))
-            dn, sn = d[nb], self.stat[nb]
-            eligible = nb[((sn == AT_LB) & (dn > DUAL_TOL))
-                          | ((sn == AT_UB) & (dn < -DUAL_TOL))
-                          | ((sn == FREE_NB) & (np.abs(dn) > DUAL_TOL))]
+            improving = d * direction > DUAL_TOL
+            if has_free:
+                improving |= free & (np.abs(d) > DUAL_TOL)
+            eligible = improving.nonzero()[0]
             if not eligible.size:
-                return "infeasible" if phase1 and excess > INFEAS_TOL else "optimal"
+                return self._basics_back(
+                    xb, "infeasible" if phase1 and excess > INFEAS_TOL else "optimal")
             if self.degen_streak > BLAND_TRIGGER:
                 q = int(eligible[0])
             else:
-                q = int(eligible[np.argmax(np.abs(d[eligible]))])
+                q = int(eligible[np.abs(d[eligible]).argmax()])
             sig = 1.0 if d[q] > 0 else -1.0
             w = self.factor.ftran(_dense_column(std.A, q))
             self.iterations += 1
             # blocking rows: a basic moves down (denominator > 0) to lo or up
             # to hi
-            blk = np.flatnonzero(np.abs(w) > PIVOT_TOL)
+            blk = (np.abs(w) > PIVOT_TOL).nonzero()[0]
             denom = sig * w[blk]
             aden = np.abs(denom)
             down = denom > 0.0
@@ -345,9 +400,8 @@ class SimplexEngine:
             if t_flip <= theta:
                 delta = t_flip
                 self.degen_streak = self.degen_streak + 1 if delta <= DEGEN_EPS else 0
-                self.vals[self.basis] = xb - sig * delta * w
-                self.stat[q] = AT_UB if sig > 0 else AT_LB
-                self.vals[q] = self.ub[q] if sig > 0 else self.lb[q]
+                xb = xb - sig * delta * w
+                self._leave(q, sig < 0, movable, direction)
                 continue
             # Harris pass 2: among blockers within the relaxed step, take the
             # largest pivot element for numerical safety
@@ -355,21 +409,22 @@ class SimplexEngine:
             if self.degen_streak > BLAND_TRIGGER:
                 k = int(np.argmax(cand))
             else:
-                k = int(np.argmax(np.where(cand, aden, -1.0)))
+                k = int(np.where(cand, aden, -1.0).argmax())
             r = int(blk[k])
             delta = min(max(ratios[k], 0.0), t_flip)
             self.degen_streak = self.degen_streak + 1 if delta <= DEGEN_EPS else 0
             if delta > 0.0:
-                self.vals[self.basis] = xb - sig * delta * w
+                xb = xb - sig * delta * w
                 self.vals[q] += sig * delta
             # the leaving basic stops at the bound it reached: a violated
             # one at the bound it violated
             lv = self.basis[r]
-            to_lb = bool(down[k]) != violated[r]
-            self.stat[lv] = AT_LB if to_lb else AT_UB
-            self.vals[lv] = self.lb[lv] if to_lb else self.ub[lv]
+            self._leave(lv, bool(down[k]) != violated[r], movable, direction)
             self.stat[q] = BASIC
+            direction[q] = 0.0
+            free[q] = False
             self.basis[r] = q
+            xb[r], lo_b[r], hi_b[r] = self.vals[q], self.lb[q], self.ub[q]
             self.factor.update(r, w)
 
     def _solve_primal(self, basis: np.ndarray, stat: np.ndarray) -> str:
@@ -411,47 +466,49 @@ class SimplexEngine:
         self.degen_streak = 0
         stale_prices = 0
         movable = (self.ub - self.lb) > 0.0
-        e_r = np.zeros(std.nrows)
+        direction, free = self._directions(movable)
+        has_free = bool(free.any())
+        # the basics' values and bounds in basis order, kept up to date here
+        xb = self.vals[self.basis]
+        lo_b = self.lb[self.basis]
+        hi_b = self.ub[self.basis]
         while True:
             if self._out_of_budget():
                 return "limit"
             if self.factor.needs_refactor:
                 self._refactor_and_refresh()
                 d = self._reduced_costs(std.c)
-            xb = self.vals[self.basis]
-            viol_lo = self.lb[self.basis] - xb
-            viol_hi = xb - self.ub[self.basis]
+                xb = self.vals[self.basis]
+            viol_lo = lo_b - xb
+            viol_hi = xb - hi_b
             viol = np.maximum(viol_lo, viol_hi)
             if self.degen_streak > BLAND_TRIGGER:
                 cand = np.nonzero(viol > FEAS_TOL)[0]
                 r = int(cand[0]) if cand.size else int(np.argmax(viol))
             else:
-                r = int(np.argmax(viol))
+                r = int(viol.argmax())
             if viol[r] <= FEAS_TOL:
                 return "optimal"
             if cutoff is not None and self.objective() <= cutoff:
                 return "cutoff"
             low_side = viol_lo[r] > viol_hi[r]
-            e_r[r] = 1.0
-            rho = self.factor.btran(e_r)
-            e_r[r] = 0.0
+            rho = self.factor.btran_unit(r)
             alpha = self.std.at_times(rho, self._at_v)
             self.iterations += 1
             # entering candidates: nonbasics whose move lets the leaving
             # basic reach the bound it violates
-            nb = np.flatnonzero(movable & (self.stat != BASIC))
-            an, sn = alpha[nb], self.stat[nb]
-            if low_side:
-                an = -an
-            cands = nb[((sn == AT_LB) & (an > PIVOT_TOL)) | ((sn == AT_UB) & (an < -PIVOT_TOL))
-                       | ((sn == FREE_NB) & (np.abs(an) > PIVOT_TOL))]
+            reach = alpha * direction
+            entering = reach < -PIVOT_TOL if low_side else reach > PIVOT_TOL
+            if has_free:
+                entering |= free & (np.abs(alpha) > PIVOT_TOL)
+            cands = entering.nonzero()[0]
             if not cands.size:
                 return "infeasible"
             aabs = np.abs(alpha[cands])
             dmag = np.abs(d[cands])
             ratios = dmag / aabs
             theta = ((dmag + DUAL_TOL) / aabs).min()
-            q = int(cands[np.argmax(np.where(ratios <= theta, aabs, -1.0))])
+            q = int(cands[np.where(ratios <= theta, aabs, -1.0).argmax()])
             w = self.factor.ftran(_dense_column(std.A, q))
             if abs(w[r]) < PIVOT_TOL:
                 # price disagreement: refresh factors and retry this row
@@ -462,17 +519,21 @@ class SimplexEngine:
                     )
                 self._refactor_and_refresh()
                 d = self._reduced_costs(std.c)
+                xb = self.vals[self.basis]
                 continue
             stale_prices = 0
-            target = self.lb[self.basis[r]] if low_side else self.ub[self.basis[r]]
+            target = lo_b[r] if low_side else hi_b[r]
             delta_q = (xb[r] - target) / w[r]
-            self.vals[self.basis] = xb - delta_q * w
+            xb = xb - delta_q * w
+            self.vals[self.basis] = xb
             self.vals[q] = self.vals[q] + delta_q
             lv = self.basis[r]
-            self.vals[lv] = target
-            self.stat[lv] = AT_LB if low_side else AT_UB
+            self._leave(lv, low_side, movable, direction)
             self.stat[q] = BASIC
+            direction[q] = 0.0
+            free[q] = False
             self.basis[r] = q
+            xb[r], lo_b[r], hi_b[r] = self.vals[q], self.lb[q], self.ub[q]
             self.factor.update(r, w)
             tt = d[q] / alpha[q]
             d -= tt * alpha

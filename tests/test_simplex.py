@@ -451,8 +451,32 @@ def test_block_eta_file_matches_a_fresh_factorization(monkeypatch):
                            (factor.btran(v), (lu.solve(v, trans="T"), loop_btran))):
             for ref in refs:
                 assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
+        for p in (r, pivoted[0], std.nrows - 1):
+            e = np.zeros(std.nrows)
+            e[p] = 1.0
+            assert np.array_equal(factor.btran_unit(p), factor.btran(e))
     assert refactored
     assert pivoted[2] == pivoted[0]
+
+
+def test_children_share_the_factorization_of_their_parents_basis():
+    """Both children of a node start from their parent's basis: the second
+    takes its LU from the standard form and solves bitwise as it would with
+    a factorization of its own. The standard form keeps few of them."""
+    std, root, _, children = branched_root(7, 16)
+    first = simplex._Factors(std.A, root.basis, std.starting_lus)
+    assert simplex._Factors(std.A, root.basis, std.starting_lus).lu is first.lu
+    runs = []
+    for known in (True, False):
+        if not known:
+            std.starting_lus.clear()
+        child = SimplexEngine(std, *children[1])
+        state = child.solve_dual(root.basis, root.stat)
+        runs.append((state, child.iterations, child.vals.tobytes()))
+    assert runs[0] == runs[1]
+    for shift in range(1, 2 * simplex._STARTING_LUS):
+        simplex._Factors(std.A, np.roll(root.basis, shift), std.starting_lus)
+    assert len(std.starting_lus) == simplex._STARTING_LUS
 
 
 @pytest.mark.parametrize("seed", [1, 4])
