@@ -178,7 +178,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
         nonlocal std
         if std is None:
             std = StandardLp(mip)
-        lb, ub = _apply_overrides(std, node.bounds, mip)
+        lb, ub = _apply_overrides(std, node.bounds)
         engine = SimplexEngine(std, lb, ub, deadline=deadline)
         if np.any(lb > ub):
             return "infeasible", -math.inf, engine
@@ -225,6 +225,16 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
             return None
         return CycleClustering(n=mip.n, m=m, assignment=labels)
 
+    def branch(node: BnbNode, col: int, bound: float,
+               basis: np.ndarray | None = None, stat: np.ndarray | None = None):
+        """Push the children of `node` that fix column `col` to 0 and to 1,
+        bounded by `bound` and warm-started from `basis` when one is given."""
+        nonlocal next_id
+        for value in (0.0, 1.0):
+            pool.push(BnbNode(depth=node.depth + 1, bounds={**node.bounds, col: (value, value)},
+                              parent_bound=bound, basis=basis, stat=stat, node_id=next_id))
+            next_id += 1
+
     while len(pool):
         now = time.monotonic()
         open_bound = pool.best_bound()
@@ -258,13 +268,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
                        if effective_bounds(node, int(c))[0]
                        < effective_bounds(node, int(c))[1]]
             if unfixed:
-                for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
-                    child_bounds = dict(node.bounds)
-                    child_bounds[unfixed[0]] = (lo, hi)
-                    pool.push(BnbNode(depth=node.depth + 1, bounds=child_bounds,
-                                      parent_bound=node.parent_bound,
-                                      node_id=next_id))
-                    next_id += 1
+                branch(node, unfixed[0], node.parent_bound)
             else:
                 offer(forced_assignment(node))
             continue
@@ -293,16 +297,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
             offer(rounding_heuristic(mip, original[: mip.ncols], W))
             if incumbent is not None and bound <= primal + PRUNE_TOL:
                 continue
-        col = int(x_cols[worst])
-        basis_snapshot = engine.basis.copy()
-        stat_snapshot = engine.stat.copy()
-        for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
-            child_bounds = dict(node.bounds)
-            child_bounds[col] = (lo, hi)
-            pool.push(BnbNode(depth=node.depth + 1, bounds=child_bounds,
-                              parent_bound=bound, basis=basis_snapshot,
-                              stat=stat_snapshot, node_id=next_id))
-            next_id += 1
+        branch(node, int(x_cols[worst]), bound, engine.basis.copy(), engine.stat.copy())
 
     wall = time.monotonic() - start
     if status is None:

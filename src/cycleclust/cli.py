@@ -233,6 +233,14 @@ def _limit(kind):
     return parse
 
 
+def _alpha(text: str) -> float:
+    """argparse type of --alpha, the coherence weight: finite and positive."""
+    value = float(text)
+    if not 0 < value < math.inf:  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycleclust",
@@ -254,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t-final", type=float, default=1.5)
     g.add_argument("--dt", type=float, default=1e-3)
     g.add_argument("--graph", default=None)
-    g.add_argument("--alpha", type=float, default=0.001)
+    g.add_argument("--alpha", type=_alpha, default=0.001)
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="compute an optimal cycle clustering")
     s.add_argument("matrix")
     s.add_argument("-m", type=int, required=True)
-    s.add_argument("--alpha", type=float, default=0.001)
+    s.add_argument("--alpha", type=_alpha, default=0.001)
     s.add_argument("--out", default="solution")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--config", default=None)
@@ -279,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     o.add_argument("matrix")
     o.add_argument("-m", type=int, required=True)
-    o.add_argument("--alpha", type=float, default=0.001)
+    o.add_argument("--alpha", type=_alpha, default=0.001)
     o.set_defaults(func=cmd_oracle)
 
     e = sub.add_parser("export-lp", help="write the model in LP text format")
     e.add_argument("matrix")
     e.add_argument("-m", type=int, required=True)
-    e.add_argument("--alpha", type=float, default=0.001)
+    e.add_argument("--alpha", type=_alpha, default=0.001)
     e.add_argument("--out", default="model.lp")
     e.set_defaults(func=cmd_export_lp)
     return parser

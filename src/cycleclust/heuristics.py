@@ -9,7 +9,6 @@ import numpy as np
 from .clustering import CycleClustering, objective
 from .errors import InvalidClusteringError, TooLargeError
 from .markov import FlowMatrix
-from .simplex import LpResult
 
 BRUTE_FORCE_GUARD = 10_000_000
 IMPROVE_EPS = 1e-12
@@ -92,21 +91,14 @@ def _repair_empty(q: np.ndarray, qt: np.ndarray, assignment: np.ndarray,
     return assignment
 
 
-def rounding_heuristic(mip, lp, W: FlowMatrix) -> CycleClustering | None:
+def rounding_heuristic(mip, values: np.ndarray, W: FlowMatrix) -> CycleClustering | None:
     """Round relaxed assignment values to the largest component per bin.
 
-    `lp` may be an LpResult, a name -> value mapping, or an array over the
-    model's columns. Returns None when repair cannot restore feasibility.
+    `values` is in the model's column order. Returns None when repair cannot
+    restore feasibility.
     """
     n, m = mip.n, mip.m
-    lp_values = lp.values if isinstance(lp, LpResult) else lp
-    if isinstance(lp_values, dict):
-        x = np.empty((n, m))
-        for i in range(n):
-            for k in range(m):
-                x[i, k] = lp_values[f"x_{i + 1}_{k + 1}"]
-    else:
-        x = np.asarray(lp_values)[: n * m].reshape(n, m)  # x_column order
+    x = np.asarray(values)[: n * m].reshape(n, m)  # x_column order
     assignment = np.argmax(x, axis=1) + 1
     q = W.entries
     try:

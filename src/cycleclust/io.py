@@ -118,16 +118,21 @@ def write_clustering(path, c: CycleClustering, value: ObjectiveValue) -> None:
 
 
 def read_clustering(path):
-    """Returns (clustering, alpha, stored objective dict)."""
+    """Returns (clustering, alpha, stored objective dict): a finite positive
+    alpha, and the objective's total, flow and coherence as floats."""
     doc = _read_json_object(path)
     try:
         c = CycleClustering(n=int(doc["n"]), m=int(doc["m"]),
                             assignment=np.array(doc["assignment"], dtype=int))
-        return c, float(doc["alpha"]), dict(doc["objective"])
+        alpha = float(doc["alpha"])
+        stored = {key: float(doc["objective"][key]) for key in ("total", "flow", "coherence")}
     except KeyError as exc:
         raise FileFormatError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed clustering: {exc}") from exc
+    if not 0 < alpha < math.inf:  # also refuses NaN
+        raise FileFormatError(f"{path}: alpha must be finite and positive, got {alpha!r}")
+    return c, alpha, stored
 
 
 def write_solve_report(path, result: SolveResult) -> None:
@@ -144,15 +149,16 @@ def write_solve_report(path, result: SolveResult) -> None:
 
 def read_solver_config(path) -> SolverConfig:
     doc = _read_json_object(path)
+    # null is "no limit" for the limits; gap_tol has no such value
     for key, kind, what in (("gap_tol", (int, float), "a number"),
-                            ("time_limit_s", (int, float), "a number"),
-                            ("node_limit", int, "an integer")):
-        value = doc.get(key)
-        if value is None:
+                            ("time_limit_s", (int, float, type(None)), "a number or null"),
+                            ("node_limit", (int, type(None)), "an integer or null")):
+        if key not in doc:
             continue
+        value = doc[key]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise FileFormatError(f"{path}: {key} must be {what}, got {value!r}")
-        if not 0 <= value < math.inf:  # also refuses NaN
+        if value is not None and not 0 <= value < math.inf:  # also refuses NaN
             raise FileFormatError(f"{path}: {key} must be finite and not negative, "
                                   f"got {value!r}")
     selection = doc.get("node_selection", "best_bound")

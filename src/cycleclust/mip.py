@@ -22,7 +22,8 @@ columns ascending by construction, with no triplets and no sort.
 
 Names such as x_1_2 or p3_e_4_7_1 are formatted only where a name is the
 output: export_model, parse_model, MipInstance.constraint and
-column_index, solution_dict, solve_lp's values and error messages. Parsed
+column_index, and error messages. Every other interface, solution_values
+and solve_lp included, passes values and bounds by column index. Parsed
 and hand-made instances have no blocks and carry explicit name lists.
 
 export_model writes the text from arrays of string pieces joined in chunks
@@ -343,11 +344,6 @@ def solution_values(mip: MipInstance, c: CycleClustering) -> np.ndarray:
             acc = float(mat.data[lo:hi] @ out[mat.indices[lo:hi]]) - out[col]
             out[col] = mip.rhs[row] - acc
     return out
-
-
-def solution_dict(mip: MipInstance, c: CycleClustering) -> dict:
-    return dict(zip(mip.column_names().tolist(),
-                    solution_values(mip, c).tolist()))
 
 
 def clustering_from_solution(mip: MipInstance, values: np.ndarray) -> CycleClustering:

@@ -93,12 +93,14 @@ def _equilibrate(a: csc_matrix, passes: int = 3):
 
 @dataclass
 class LpResult:
-    """Relaxation outcome; for iteration-limit the objective is simply the
-    last iterate's value and carries no bound guarantee."""
+    """Relaxation outcome. `values` holds the structural columns' values in
+    column order and original units, and is empty for an infeasible LP. For
+    iteration-limit, objective and values are simply the last iterate's and
+    carry no bound guarantee."""
 
     status: str  # optimal | infeasible | iteration-limit
     objective: float
-    values: dict
+    values: np.ndarray
     iterations: int
 
 
@@ -260,7 +262,6 @@ class SimplexEngine:
         self.iter_limit = iter_limit if iter_limit is not None else std.default_iter_limit
         self.deadline = deadline
         self.iterations = 0
-        self.degen_streak = 0
         self.basis = None
         self.stat = None
         self.vals = None
@@ -279,14 +280,20 @@ class SimplexEngine:
     def _recompute_basics(self):
         tmp = self.vals.copy()
         tmp[self.basis] = 0.0
-        rhs_eff = self.std.b - self.std.A @ tmp
-        self.vals[self.basis] = self.factor.ftran(rhs_eff)
+        self.xb = self.factor.ftran(self.std.b - self.std.A @ tmp)
+        self.vals[self.basis] = self.xb
 
     def _refactor_and_refresh(self):
         self.factor.refactor(self.basis)
         self._recompute_basics()
 
     def _install_basis(self, basis: np.ndarray, stat: np.ndarray):
+        """Set up the loop state both methods keep current as they pivot:
+        the basics' values and bounds in basis order (`xb`, `lo_b`, `hi_b`,
+        with `vals` holding the same values), and the way each column may
+        leave its bound: `direction` is +1 up from the lower bound, -1 down
+        from the upper bound, 0 for basics and fixed columns, and `free`
+        marks the free nonbasics, which may move either way."""
         self.basis = basis.astype(np.int64).copy()
         self.stat = stat.astype(np.int8).copy()
         self.vals = np.where(self.stat == AT_LB, self.lb,
@@ -294,6 +301,14 @@ class SimplexEngine:
         self.vals[self.basis] = 0.0
         self.factor = _Factors(self.std.A, self.basis, self.std.starting_lus)
         self._recompute_basics()
+        self.lo_b = self.lb[self.basis]
+        self.hi_b = self.ub[self.basis]
+        self.movable = (self.ub - self.lb) > 0.0
+        self.direction = (self.movable & (self.stat == AT_LB)).astype(float)
+        self.direction[self.movable & (self.stat == AT_UB)] = -1.0
+        self.free = self.movable & (self.stat == FREE_NB)
+        self.has_free = bool(self.free.any())
+        self.degen_streak = 0
 
     def objective(self) -> float:
         return float(self.std.c @ self.vals)
@@ -306,26 +321,39 @@ class SimplexEngine:
         y = self.factor.btran(costs[self.basis])
         return costs - self.std.at_times(y, self._at_v)
 
-    def _directions(self, movable: np.ndarray):
-        """The way each column may leave its bound, kept up to date by the
-        loops as statuses change: +1 up from the lower bound, -1 down from
-        the upper bound, 0 for basics and fixed columns; and the mask of
-        free nonbasics, which may move either way. A pricing or ratio test
-        then takes one product with these instead of a test per status."""
-        direction = (movable & (self.stat == AT_LB)).astype(float)
-        direction[movable & (self.stat == AT_UB)] = -1.0
-        return direction, movable & (self.stat == FREE_NB)
+    def _improving(self, d: np.ndarray, tol: float) -> np.ndarray:
+        """Mask of the nonbasics whose `d` exceeds `tol` in a direction they
+        may move: one product with `direction` instead of a test per status.
+        With reduced costs these are the columns that may enter a primal
+        step, or that refute an optimal claim."""
+        improving = d * self.direction > tol
+        if self.has_free:
+            improving |= self.free & (np.abs(d) > tol)
+        return improving
 
-    def _leave(self, j: int, to_lb: bool, movable: np.ndarray, direction: np.ndarray):
+    def _step(self, t: float, w: np.ndarray):
+        """Move the basics as the entering column, whose ftran is w, moves by t."""
+        self.xb -= t * w
+        self.vals[self.basis] = self.xb
+
+    def _leave(self, j: int, to_lb: bool):
         """Make column j nonbasic at its lower or upper bound."""
         self.stat[j] = AT_LB if to_lb else AT_UB
         self.vals[j] = self.lb[j] if to_lb else self.ub[j]
-        direction[j] = (1.0 if to_lb else -1.0) if movable[j] else 0.0
+        self.direction[j] = (1.0 if to_lb else -1.0) if self.movable[j] else 0.0
 
-    def _basics_back(self, xb: np.ndarray, state: str) -> str:
-        """Write the basics' values into self.vals and pass `state` on."""
-        self.vals[self.basis] = xb
-        return state
+    def _pivot(self, r: int, q: int, w: np.ndarray, to_lb: bool) -> int:
+        """Swap column q, at its current value, into basis position r; the
+        column it replaces leaves at its lower or upper bound and is returned."""
+        lv = self.basis[r]
+        self._leave(lv, to_lb)
+        self.stat[q] = BASIC
+        self.direction[q] = 0.0
+        self.free[q] = False
+        self.basis[r] = q
+        self.xb[r], self.lo_b[r], self.hi_b[r] = self.vals[q], self.lb[q], self.ub[q]
+        self.factor.update(r, w)
+        return lv
 
     # -- primal simplex -----------------------------------------------------
 
@@ -339,27 +367,18 @@ class SimplexEngine:
         std = self.std
         costs = std.c
         violated = np.zeros(std.nrows, dtype=bool)
-        movable = (self.ub - self.lb) > 0.0
-        direction, free = self._directions(movable)
-        has_free = bool(free.any())
-        # the basics' values and bounds in basis order, kept up to date here;
-        # the basics' entries of self.vals are written back on return
-        xb = self.vals[self.basis]
-        lo_b = self.lb[self.basis]
-        hi_b = self.ub[self.basis]
         while True:
             if self._out_of_budget():
-                return self._basics_back(xb, "limit")
+                return "limit"
             if self.factor.needs_refactor:
                 self._refactor_and_refresh()
-                xb = self.vals[self.basis]
-            lo, hi = lo_b, hi_b
+            xb, lo, hi = self.xb, self.lo_b, self.hi_b
             if phase1:
                 below = xb < lo - FEAS_TOL
                 above = xb > hi + FEAS_TOL
                 violated = below | above
                 if not violated.any():
-                    return self._basics_back(xb, "optimal")
+                    return "optimal"
                 costs = np.zeros(std.ncols)
                 costs[self.basis[below]] = 1.0
                 costs[self.basis[above]] = -1.0
@@ -367,13 +386,9 @@ class SimplexEngine:
                 lo, hi = (np.where(below, -math.inf, np.where(above, hi, lo)),
                           np.where(above, math.inf, np.where(below, lo, hi)))
             d = self._reduced_costs(costs)
-            improving = d * direction > DUAL_TOL
-            if has_free:
-                improving |= free & (np.abs(d) > DUAL_TOL)
-            eligible = improving.nonzero()[0]
+            eligible = self._improving(d, DUAL_TOL).nonzero()[0]
             if not eligible.size:
-                return self._basics_back(
-                    xb, "infeasible" if phase1 and excess > INFEAS_TOL else "optimal")
+                return "infeasible" if phase1 and excess > INFEAS_TOL else "optimal"
             if self.degen_streak > BLAND_TRIGGER:
                 q = int(eligible[0])
             else:
@@ -400,8 +415,8 @@ class SimplexEngine:
             if t_flip <= theta:
                 delta = t_flip
                 self.degen_streak = self.degen_streak + 1 if delta <= DEGEN_EPS else 0
-                xb = xb - sig * delta * w
-                self._leave(q, sig < 0, movable, direction)
+                self._step(sig * delta, w)
+                self._leave(q, sig < 0)
                 continue
             # Harris pass 2: among blockers within the relaxed step, take the
             # largest pivot element for numerical safety
@@ -414,24 +429,16 @@ class SimplexEngine:
             delta = min(max(ratios[k], 0.0), t_flip)
             self.degen_streak = self.degen_streak + 1 if delta <= DEGEN_EPS else 0
             if delta > 0.0:
-                xb = xb - sig * delta * w
+                self._step(sig * delta, w)
                 self.vals[q] += sig * delta
             # the leaving basic stops at the bound it reached: a violated
             # one at the bound it violated
-            lv = self.basis[r]
-            self._leave(lv, bool(down[k]) != violated[r], movable, direction)
-            self.stat[q] = BASIC
-            direction[q] = 0.0
-            free[q] = False
-            self.basis[r] = q
-            xb[r], lo_b[r], hi_b[r] = self.vals[q], self.lb[q], self.ub[q]
-            self.factor.update(r, w)
+            self._pivot(r, q, w, bool(down[k]) != violated[r])
 
     def _solve_primal(self, basis: np.ndarray, stat: np.ndarray) -> str:
         if np.any(self.lb > self.ub):
             return "infeasible"
         self._install_basis(basis, stat)
-        self.degen_streak = 0
         state = self._primal_loop(phase1=True)
         if state == "optimal":
             self.degen_streak = 0
@@ -463,24 +470,16 @@ class SimplexEngine:
         std = self.std
         self._install_basis(basis, stat)
         d = self._reduced_costs(std.c)
-        self.degen_streak = 0
         stale_prices = 0
-        movable = (self.ub - self.lb) > 0.0
-        direction, free = self._directions(movable)
-        has_free = bool(free.any())
-        # the basics' values and bounds in basis order, kept up to date here
-        xb = self.vals[self.basis]
-        lo_b = self.lb[self.basis]
-        hi_b = self.ub[self.basis]
         while True:
             if self._out_of_budget():
                 return "limit"
             if self.factor.needs_refactor:
                 self._refactor_and_refresh()
                 d = self._reduced_costs(std.c)
-                xb = self.vals[self.basis]
-            viol_lo = lo_b - xb
-            viol_hi = xb - hi_b
+            xb = self.xb
+            viol_lo = self.lo_b - xb
+            viol_hi = xb - self.hi_b
             viol = np.maximum(viol_lo, viol_hi)
             if self.degen_streak > BLAND_TRIGGER:
                 cand = np.nonzero(viol > FEAS_TOL)[0]
@@ -496,12 +495,9 @@ class SimplexEngine:
             alpha = self.std.at_times(rho, self._at_v)
             self.iterations += 1
             # entering candidates: nonbasics whose move lets the leaving
-            # basic reach the bound it violates
-            reach = alpha * direction
-            entering = reach < -PIVOT_TOL if low_side else reach > PIVOT_TOL
-            if has_free:
-                entering |= free & (np.abs(alpha) > PIVOT_TOL)
-            cands = entering.nonzero()[0]
+            # basic reach the bound it violates, which is the improving
+            # test on the row's entries with the sign of that move
+            cands = self._improving(-alpha if low_side else alpha, PIVOT_TOL).nonzero()[0]
             if not cands.size:
                 return "infeasible"
             aabs = np.abs(alpha[cands])
@@ -519,22 +515,13 @@ class SimplexEngine:
                     )
                 self._refactor_and_refresh()
                 d = self._reduced_costs(std.c)
-                xb = self.vals[self.basis]
                 continue
             stale_prices = 0
-            target = lo_b[r] if low_side else hi_b[r]
+            target = self.lo_b[r] if low_side else self.hi_b[r]
             delta_q = (xb[r] - target) / w[r]
-            xb = xb - delta_q * w
-            self.vals[self.basis] = xb
+            self._step(delta_q, w)
             self.vals[q] = self.vals[q] + delta_q
-            lv = self.basis[r]
-            self._leave(lv, low_side, movable, direction)
-            self.stat[q] = BASIC
-            direction[q] = 0.0
-            free[q] = False
-            self.basis[r] = q
-            xb[r], lo_b[r], hi_b[r] = self.vals[q], self.lb[q], self.ub[q]
-            self.factor.update(r, w)
+            lv = self._pivot(r, q, w, low_side)
             tt = d[q] / alpha[q]
             d -= tt * alpha
             d[q] = 0.0
@@ -554,12 +541,7 @@ class SimplexEngine:
             raise NumericalFailureError("bound violation at claimed optimum")
         d = self._reduced_costs(std.c)
         cscale = 1.0 + float(np.max(np.abs(std.c)))
-        tol = DUAL_TOL * cscale
-        movable = (self.ub - self.lb) > 0.0
-        bad = (((self.stat == AT_LB) & movable & (d > tol))
-               | ((self.stat == AT_UB) & movable & (d < -tol))
-               | ((self.stat == FREE_NB) & (np.abs(d) > tol)))
-        if bad.any():
+        if self._improving(d, DUAL_TOL * cscale).any():
             raise NumericalFailureError("reduced-cost sign violation at claimed optimum")
 
     def solve_verified(self, solve) -> str:
@@ -588,17 +570,14 @@ class SimplexEngine:
             return state
 
 
-def _apply_overrides(std: StandardLp, overrides, mip) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled bound arrays with original-units overrides tightened in."""
+def _apply_overrides(std: StandardLp, overrides) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled bound arrays with original-units overrides, column -> (lower,
+    upper), tightened in."""
     lb = std.base_lb.copy()
     ub = std.base_ub.copy()
-    if overrides:
-        for key, (lo, hi) in overrides.items():
-            j = mip.column_index(key) if isinstance(key, str) else int(key)
-            if lo is not None:
-                lb[j] = max(lb[j], std.scale_bound(j, lo))
-            if hi is not None:
-                ub[j] = min(ub[j], std.scale_bound(j, hi))
+    for j, (lo, hi) in (overrides or {}).items():
+        lb[j] = max(lb[j], std.scale_bound(j, lo))
+        ub[j] = min(ub[j], std.scale_bound(j, hi))
     return lb, ub
 
 
@@ -606,25 +585,18 @@ def solve_lp(mip, bounds=None, iter_limit: int | None = None,
              time_limit_s: float | None = None) -> LpResult:
     """Solve the continuous relaxation of `mip` with optional bound overrides.
 
-    `bounds` maps variable names (or column indices) to (lower, upper)
-    pairs that tighten the root bounds. A numerical failure gets the one
-    recovery of `SimplexEngine.solve_verified`; if that fails too, the
+    `bounds` maps column indices to (lower, upper) pairs that tighten the
+    root bounds. A numerical failure gets the
+    one recovery of `SimplexEngine.solve_verified`; if that fails too, the
     NumericalFailureError surfaces.
     """
     std = StandardLp(mip)
-    lb, ub = _apply_overrides(std, bounds, mip)
+    lb, ub = _apply_overrides(std, bounds)
     deadline = time.monotonic() + time_limit_s if time_limit_s is not None else None
     engine = SimplexEngine(std, lb, ub, iter_limit=iter_limit, deadline=deadline)
     status = engine.solve_verified(engine.solve_cold)
-    if status == "limit":
-        return LpResult("iteration-limit", engine.objective(),
-                        _value_dict(mip, engine), engine.iterations)
     if status == "infeasible":
-        return LpResult("infeasible", -math.inf, {}, engine.iterations)
-    return LpResult("optimal", engine.objective(),
-                    _value_dict(mip, engine), engine.iterations)
-
-
-def _value_dict(mip, engine: SimplexEngine) -> dict:
-    orig = engine.original_values()
-    return dict(zip(mip.column_names().tolist(), orig[: mip.ncols].tolist()))
+        return LpResult("infeasible", -math.inf, np.empty(0), engine.iterations)
+    return LpResult("iteration-limit" if status == "limit" else "optimal",
+                    engine.objective(), engine.original_values()[: mip.ncols],
+                    engine.iterations)

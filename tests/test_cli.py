@@ -286,20 +286,58 @@ def test_bad_config_is_a_format_error(tmp_path, capsys, text):
     assert not (tmp_path / "sol" / "report.json").exists()
 
 
-@pytest.mark.parametrize("option", ["--node-limit=-1", "--gap-tol=-0.5", "--gap-tol=nan",
-                                    "--time-limit=-5", "--time-limit=inf"])
-def test_negative_or_non_finite_solver_limit_is_a_usage_error(tmp_path, capsys, option):
+NOT_NEGATIVE, POSITIVE = "must be finite and not negative", "must be finite and positive"
+
+
+@pytest.mark.parametrize("command,option,message", [
+    *[pytest.param("solve", option, NOT_NEGATIVE, id=option)
+      for option in ("--node-limit=-1", "--gap-tol=-0.5", "--gap-tol=nan",
+                     "--time-limit=-5", "--time-limit=inf")],
+    # every command that takes --alpha
+    *[pytest.param(command, f"--alpha={value}", POSITIVE, id=f"{command}--alpha={value}")
+      for command, value in (("solve", "0"), ("solve", "nan"), ("oracle", "-1"),
+                             ("oracle", "nan"), ("export-lp", "0"), ("export-lp", "-inf"),
+                             ("generate", "-1"), ("generate", "inf"))],
+])
+def test_negative_or_non_finite_solver_limit_is_a_usage_error(tmp_path, capsys, command,
+                                                              option, message):
     out = tmp_path / "tri"
     run("generate", "triangle", "--out", out)
+    matrix, sol = out / "matrix.fm", tmp_path / "sol"
+    argv = {
+        "solve": ["solve", matrix, "-m", 3, "--out", sol],
+        "oracle": ["oracle", matrix, "-m", 3],
+        "export-lp": ["export-lp", matrix, "-m", 3, "--out", sol],
+        "generate": ["generate", "multiway-cut", "--graph", tmp_path / "graph", "--out", sol],
+    }[command]
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        run("solve", out / "matrix.fm", "-m", 3, "--out", tmp_path / "sol", option)
+        run(*argv, option)
     assert exc.value.code == 2
-    assert "must be finite and not negative" in capsys.readouterr().err
-    assert not (tmp_path / "sol" / "report.json").exists()
+    printed = capsys.readouterr()
+    assert message in printed.err
+    assert not printed.out
+    assert not sol.exists()
 
 
-@pytest.mark.parametrize("text", ['{"n": 9,', '"n"', '{"n": "nine", "m": 3, '
-                                  '"assignment": [], "alpha": 0, "objective": {}}'])
+VALID_CLUSTERING = {"n": 9, "m": 3, "alpha": 0.001,
+                    "assignment": [1, 2, 3, 1, 2, 3, 1, 2, 3],
+                    "objective": {"total": 0.1, "flow": 0.1, "coherence": 0.0}}
+
+
+def _clustering_with(**changes) -> str:
+    return json.dumps({**VALID_CLUSTERING, **changes})
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 9,', '"n"', '{"n": "nine", "m": 3, "assignment": [], "alpha": 0, "objective": {}}',
+    _clustering_with(objective={"total": 0.1, "flow": 0.1}),  # no coherence
+    _clustering_with(objective={"total": "high", "flow": 0.1, "coherence": 0.0}),
+    _clustering_with(objective={"total": None, "flow": 0.1, "coherence": 0.0}),
+    _clustering_with(objective=[0.1, 0.1, 0.0]),
+    _clustering_with(alpha=0),
+    _clustering_with(alpha=-0.001),
+])
 def test_verify_of_a_malformed_clustering_is_a_format_error(tmp_path, text):
     out = tmp_path / "tri"
     run("generate", "triangle", "--out", out)

@@ -11,7 +11,7 @@ from cycleclust.heuristics import (
     rounding_heuristic,
 )
 from cycleclust.markov import FlowMatrix
-from cycleclust.mip import build_mip, solution_dict
+from cycleclust.mip import build_mip, solution_values
 from cycleclust.simplex import solve_lp
 
 from util import random_chain, random_clustering
@@ -62,14 +62,14 @@ class TestRounding:
         _, _, w = random_chain(6, 4)
         mip = build_mip(w, 3, 0.001)
         c = CycleClustering(n=6, m=3, assignment=np.array([1, 2, 3, 1, 2, 3]))
-        vals = solution_dict(mip, c)
+        vals = solution_values(mip, c)
         out = rounding_heuristic(mip, vals, w)
         assert out.assignment.tolist() == c.assignment.tolist()
 
     def test_uniform_values_collapse_then_repair(self):
         _, _, w = random_chain(5, 5)
         mip = build_mip(w, 3, 0.001)
-        vals = {f"x_{i}_{k}": 1.0 / 3.0 for i in range(1, 6) for k in range(1, 4)}
+        vals = np.full(mip.ncols, 1.0 / 3.0)
         out = rounding_heuristic(mip, vals, w)
         assert out is not None
         assert sorted(set(out.assignment.tolist())) == [1, 2, 3]
@@ -82,14 +82,6 @@ class TestRounding:
             out = rounding_heuristic(mip, lp.values, w)
             _, best = brute_force(w, 3, 0.001)
             assert objective(w, out, 0.001).total <= best.total + 1e-12
-
-    def test_accepts_lp_result_directly(self):
-        _, _, w = random_chain(6, 505)
-        mip = build_mip(w, 3, 0.001)
-        lp = solve_lp(mip)
-        a = rounding_heuristic(mip, lp, w)
-        b = rounding_heuristic(mip, lp.values, w)
-        assert a.assignment.tolist() == b.assignment.tolist()
 
 
 class TestExchange:

@@ -129,6 +129,7 @@ def test_manifest_round_trip(tmp_path):
     '{"gap_tol": Infinity}',
     '{"time_limit_s": -5}',
     '{"time_limit_s": Infinity}',
+    '{"gap_tol": null}',
 ])
 def test_solver_config_rejects_unknown_values(tmp_path, doc):
     path = tmp_path / "cfg.json"

@@ -12,7 +12,7 @@ import cycleclust.simplex as simplex
 from cycleclust.errors import NumericalFailureError, UnboundedError
 from cycleclust.generate.triangle import triangle_fixture
 from cycleclust.mip import MipInstance, build_mip, export_model, parse_model
-from cycleclust.simplex import (AT_LB, BASIC, FREE_NB, SimplexEngine, StandardLp,
+from cycleclust.simplex import (AT_LB, AT_UB, BASIC, FREE_NB, SimplexEngine, StandardLp,
                                 _apply_overrides, solve_lp)
 
 from tableau_oracle import tableau_lp_max
@@ -57,7 +57,7 @@ def test_single_bounded_variable():
     res = solve_lp(mip)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-9)
-    assert res.values["x"] == pytest.approx(1.0, abs=1e-9)
+    assert res.values[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_assignment_row_fixes_other_columns():
@@ -71,8 +71,8 @@ def test_assignment_row_fixes_other_columns():
     ])
     res = solve_lp(mip)
     assert res.status == "optimal"
-    assert res.values["x_1_2"] == pytest.approx(0.0, abs=1e-9)
-    assert res.values["x_1_3"] == pytest.approx(0.0, abs=1e-9)
+    assert res.values[mip.column_index("x_1_2")] == pytest.approx(0.0, abs=1e-9)
+    assert res.values[mip.column_index("x_1_3")] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_infeasible_equality_detected():
@@ -86,7 +86,7 @@ def test_infeasible_equality_detected():
 def test_contradictory_override_infeasible():
     _, _, w = random_chain(4, 0)
     mip = build_mip(w, 3, 0.001)
-    res = solve_lp(mip, bounds={"x_1_1": (0.0, 0.0)})
+    res = solve_lp(mip, bounds={mip.column_index("x_1_1"): (0.0, 0.0)})
     assert res.status == "infeasible"
 
 
@@ -121,7 +121,7 @@ def test_optimal_solution_is_feasible():
     _, _, w = random_chain(7, 6)
     mip = build_mip(w, 3, 0.001)
     res = solve_lp(mip)
-    arr = np.array([res.values[name] for name in mip.column_names()])
+    arr = res.values
     lhs = mip.matrix @ arr
     for r in range(mip.nrows):
         s = str(mip.senses[r])
@@ -140,10 +140,10 @@ def test_override_tightening_reduces_value():
     _, _, w = random_chain(5, 7)
     mip = build_mip(w, 3, 0.001)
     free = solve_lp(mip)
-    pinned = solve_lp(mip, bounds={"x_2_1": (1.0, 1.0)})
+    pinned = solve_lp(mip, bounds={mip.column_index("x_2_1"): (1.0, 1.0)})
     assert pinned.status == "optimal"
     assert pinned.objective <= free.objective + 1e-9
-    assert pinned.values["x_2_1"] == pytest.approx(1.0, abs=1e-9)
+    assert pinned.values[mip.column_index("x_2_1")] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_deterministic_repeat():
@@ -153,7 +153,7 @@ def test_deterministic_repeat():
     b = solve_lp(mip)
     assert a.iterations == b.iterations
     assert a.objective == b.objective
-    assert a.values == b.values
+    assert np.array_equal(a.values, b.values)
 
 
 def test_dual_warm_start_matches_cold_solve():
@@ -336,7 +336,7 @@ def branched_root(n: int, seed: int):
     assert root.solve_cold() == "optimal"
     xvals = root.original_values()[: mip.n * 3]
     j = int(np.argmax(np.abs(xvals - np.round(xvals))))
-    children = [_apply_overrides(std, {j: (v, v)}, mip) for v in (0.0, 1.0)]
+    children = [_apply_overrides(std, {j: (v, v)}) for v in (0.0, 1.0)]
     return std, root, j, children
 
 
@@ -354,6 +354,27 @@ def test_primal_from_an_infeasible_basis_reaches_the_cold_optimum():
         assert child.solve_from_basis(root.basis, root.stat) == "optimal"
         child.verify_optimal()
         assert child.objective() == pytest.approx(cold_optimum(std, lb, ub), abs=1e-8)
+
+
+def test_loop_state_matches_the_basis_after_both_methods():
+    """The state the loops keep current as they pivot ends equal to what the
+    basis, the statuses and the bounds imply, after a dual and a primal
+    re-solve of each child."""
+    std, root, _, children = branched_root(7, 16)
+    for lb, ub in children:
+        for method in (SimplexEngine.solve_dual, SimplexEngine.solve_from_basis):
+            child = SimplexEngine(std, lb, ub)
+            assert method(child, root.basis, root.stat) == "optimal"
+            assert child.iterations > 0
+            basis, stat = child.basis, child.stat
+            assert np.array_equal(child.xb, child.vals[basis])
+            assert np.array_equal(child.lo_b, lb[basis])
+            assert np.array_equal(child.hi_b, ub[basis])
+            movable = ub - lb > 0.0
+            assert np.array_equal(child.movable, movable)
+            assert np.array_equal(child.direction, np.select(
+                [movable & (stat == AT_LB), movable & (stat == AT_UB)], [1.0, -1.0]))
+            assert np.array_equal(child.free, movable & (stat == FREE_NB))
 
 
 def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
