@@ -6,6 +6,11 @@ fixed schedule: greedy construction once at the root, LP rounding at every
 node whose depth is a multiple of five, and single-bin exchange improvement
 after every new incumbent. Node re-solves warm-start a dual simplex from
 the parent basis, which yields valid bounds even when interrupted.
+
+The open nodes live in one heap for both orders: keyed by parent bound
+under best-bound, by newest node id under depth-first. A node whose LP
+fails numerically is split blindly on the first binary its bound arrays
+leave unfixed; with every binary fixed, those arrays give its clustering.
 """
 
 from __future__ import annotations
@@ -75,51 +80,17 @@ def trivial_upper_bound(W: FlowMatrix, alpha: float) -> float:
     return float(imbalance + alpha * q.sum())
 
 
-def _fg_basis(mip: MipInstance, std: StandardLp):
-    """Row-aligned basis with f_k/g_k basic in their defining rows and
-    slacks everywhere else."""
+def _crash_state(mip: MipInstance, std: StandardLp, values: np.ndarray):
+    """Basis and statuses for an integral solution (a crash start): f_k and
+    g_k basic in their defining rows, slacks basic everywhere else."""
     n, m = mip.n, mip.m
     basis = std.nstruct + np.arange(std.nrows, dtype=np.int64)
     basis[n + m:n + 2 * m] = mip.blocks["f"].offset + np.arange(m)
     basis[n + 2 * m:n + 3 * m] = mip.blocks["g"].offset + np.arange(m)
-    return basis
-
-
-def _crash_state(mip: MipInstance, std: StandardLp, values: np.ndarray):
-    """Basis and statuses for an integral solution (a crash start)."""
     stat = np.full(std.ncols, AT_LB, dtype=np.int8)
-    ub_hit = np.zeros(std.ncols, dtype=bool)
-    ub_hit[: std.nstruct] = values >= std.base_ub[: std.nstruct] - 1e-12
-    stat[np.nonzero(ub_hit)[0]] = AT_UB
-    basis = _fg_basis(mip, std)
+    stat[: std.nstruct][values >= std.base_ub[: std.nstruct] - 1e-12] = AT_UB
     stat[basis] = BASIC
     return basis, stat
-
-
-class _NodePool:
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.heap = []
-        self.stack = []
-
-    def push(self, node: BnbNode):
-        if self.mode == "dfs":
-            self.stack.append(node)
-        else:
-            heapq.heappush(self.heap, (-node.parent_bound, node.node_id, node))
-
-    def pop(self) -> BnbNode:
-        if self.mode == "dfs":
-            return self.stack.pop()
-        return heapq.heappop(self.heap)[2]
-
-    def __len__(self):
-        return len(self.stack) if self.mode == "dfs" else len(self.heap)
-
-    def best_bound(self) -> float:
-        if self.mode == "dfs":
-            return max(n.parent_bound for n in self.stack) if self.stack else -math.inf
-        return -self.heap[0][0] if self.heap else -math.inf
 
 
 def branch_and_bound(mip: MipInstance, W: FlowMatrix,
@@ -129,7 +100,8 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
     deadline = start + cfg.time_limit_s if cfg.time_limit_s is not None else None
     std = None  # the standard form is built by the first node LP
     alpha = mip.alpha
-    m = mip.m
+    n, m = mip.n, mip.m
+    nx = n * m  # the assignment binaries are the first columns, bin-major
 
     incumbent: CycleClustering | None = None
     primal = -math.inf
@@ -167,12 +139,22 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
     if cfg.heuristics.greedy:
         offer(greedy_heuristic(W, m, alpha))
 
-    root_bound = trivial_upper_bound(W, alpha)
-    pool = _NodePool(cfg.node_selection)
-    pool.push(BnbNode(depth=0, bounds={}, parent_bound=root_bound, node_id=0))
-    next_id = 1
+    # open nodes: one heap of (key..., node), newest first under dfs (node
+    # ids grow with every push), largest parent bound first otherwise
+    dfs = cfg.node_selection == "dfs"
+    pool: list = []
+    next_id = 1  # the root is node 0
     status = None
-    x_cols = np.arange(mip.n * m, dtype=np.int64)  # x_column(i, k), bin-major
+
+    def push(node: BnbNode) -> None:
+        key = (-node.node_id,) if dfs else (-node.parent_bound, node.node_id)
+        heapq.heappush(pool, (*key, node))
+
+    def open_bound() -> float:
+        """The largest parent bound of an open node, -inf with none open."""
+        if dfs:
+            return max((entry[-1].parent_bound for entry in pool), default=-math.inf)
+        return -pool[0][0] if pool else -math.inf
 
     def node_lp(node: BnbNode):
         nonlocal std
@@ -200,77 +182,52 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
             return "stuck", node.parent_bound, engine
         return state, engine.objective(), engine
 
-    def effective_bounds(node: BnbNode, col: int):
-        """Original-units bounds of a column under the node's overrides."""
-        var_lb, var_ub = float(mip.lb[col]), float(mip.ub[col])
-        lo, hi = node.bounds.get(col, (var_lb, var_ub))
-        return max(lo, var_lb), min(hi, var_ub)
-
-    def forced_assignment(node: BnbNode):
-        """Clustering implied by a node whose binaries are all fixed, or
-        None when the fixings violate assignment/covering feasibility."""
-        labels = np.zeros(mip.n, dtype=int)
-        for i in range(1, mip.n + 1):
-            ones = []
-            for k in range(1, m + 1):
-                lo, hi = effective_bounds(node, mip.x_column(i, k))
-                if lo != hi:
-                    return None
-                if lo >= 1.0:
-                    ones.append(k)
-            if len(ones) != 1:
-                return None
-            labels[i - 1] = ones[0]
-        if len(set(labels.tolist())) < m:
-            return None
-        return CycleClustering(n=mip.n, m=m, assignment=labels)
-
     def branch(node: BnbNode, col: int, bound: float,
                basis: np.ndarray | None = None, stat: np.ndarray | None = None):
         """Push the children of `node` that fix column `col` to 0 and to 1,
         bounded by `bound` and warm-started from `basis` when one is given."""
         nonlocal next_id
         for value in (0.0, 1.0):
-            pool.push(BnbNode(depth=node.depth + 1, bounds={**node.bounds, col: (value, value)},
-                              parent_bound=bound, basis=basis, stat=stat, node_id=next_id))
+            push(BnbNode(depth=node.depth + 1, bounds={**node.bounds, col: (value, value)},
+                         parent_bound=bound, basis=basis, stat=stat, node_id=next_id))
             next_id += 1
 
-    while len(pool):
+    push(BnbNode(depth=0, bounds={}, parent_bound=trivial_upper_bound(W, alpha), node_id=0))
+    while pool:
         now = time.monotonic()
-        open_bound = pool.best_bound()
-        dual_now = max(primal, open_bound)
+        dual_now = max(primal, open_bound())
         if deadline is not None and now > deadline:
             status = "time-limit"
             break
         if cfg.node_limit is not None and nodes_processed >= cfg.node_limit:
             status = "node-limit"
             break
-        if incumbent is not None and open_bound <= primal + PRUNE_TOL:
-            pool = _NodePool(cfg.node_selection)
+        if incumbent is not None and dual_now <= primal + PRUNE_TOL:
+            pool.clear()  # every open node is pruned
             break
         if incumbent is not None:
             gap_now = (dual_now - primal) / max(abs(primal), 1e-9)
             if gap_now <= cfg.gap_tol:
                 status = "gap-limit"
                 break
-        node = pool.pop()
+        node = heapq.heappop(pool)[-1]
         if incumbent is not None and node.parent_bound <= primal + PRUNE_TOL:
             continue
         state, bound, engine = node_lp(node)
         nodes_processed += 1
-        trace.append((nodes_processed, primal if incumbent else None,
-                      max(dual_now, primal)))
+        trace.append((nodes_processed, primal if incumbent else None, dual_now))
         if state == "stuck":
             # the LP and its recovery failed numerically; split blindly on
-            # the first unfixed binary (keeps the tree exact) or, with all
-            # binaries fixed, evaluate the implied clustering directly
-            unfixed = [int(c) for c in x_cols
-                       if effective_bounds(node, int(c))[0]
-                       < effective_bounds(node, int(c))[1]]
-            if unfixed:
-                branch(node, unfixed[0], node.parent_bound)
-            else:
-                offer(forced_assignment(node))
+            # the first binary the node leaves unfixed (keeps the tree exact)
+            # or, with all of them fixed, evaluate the implied clustering
+            unfixed = np.flatnonzero(engine.lb[:nx] < engine.ub[:nx])
+            if unfixed.size:
+                branch(node, int(unfixed[0]), node.parent_bound)
+                continue
+            # the scale factors are powers of two, so the unscaling is exact
+            x = (engine.lb[:nx] * std.col_scale[:nx]).reshape(n, m)
+            if np.all(x.sum(axis=1) == 1.0) and np.all(x.any(axis=0)):
+                offer(CycleClustering(n=n, m=m, assignment=np.argmax(x, axis=1) + 1))
             continue
         if state == "limit":
             if deadline is None:
@@ -280,14 +237,14 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
             # deadline hit mid-solve; dual iterates still bound the node
             if node.basis is not None:
                 node = replace(node, parent_bound=min(node.parent_bound, bound))
-            pool.push(node)
+            push(node)
             continue
         if state in ("infeasible", "cutoff"):
             continue
         if incumbent is not None and bound <= primal + PRUNE_TOL:
             continue
         original = engine.original_values()
-        xvals = original[x_cols]
+        xvals = original[:nx]
         frac = np.abs(xvals - np.round(xvals))
         worst = int(np.argmax(frac))
         if frac[worst] <= INTEGRALITY_TOL:
@@ -297,27 +254,21 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
             offer(rounding_heuristic(mip, original[: mip.ncols], W))
             if incumbent is not None and bound <= primal + PRUNE_TOL:
                 continue
-        branch(node, int(x_cols[worst]), bound, engine.basis.copy(), engine.stat.copy())
+        branch(node, worst, bound, engine.basis.copy(), engine.stat.copy())
 
     wall = time.monotonic() - start
     if status is None:
-        if incumbent is None:
-            return SolveResult(None, None, -math.inf, None, nodes_processed,
-                               "infeasible", wall, trace)
+        status = "optimal" if incumbent is not None else "infeasible"
         dual = primal
-        status = "optimal"
     else:
-        dual = max(primal, pool.best_bound()) if len(pool) else max(primal, -math.inf)
-        if incumbent is None and status in ("time-limit", "node-limit"):
+        dual = max(primal, open_bound())
+        if incumbent is None:  # a time or node limit before any incumbent
             dual = max(dual, trivial_upper_bound(W, alpha))
     if incumbent is None:
-        return SolveResult(None, None, dual, None, nodes_processed, status,
-                           wall, trace)
+        return SolveResult(None, None, dual, None, nodes_processed, status, wall, trace)
     gap = (dual - primal) / max(abs(primal), 1e-9)
     if status == "gap-limit" and gap <= 0:
         status = "optimal"
-    result = SolveResult(incumbent, primal, dual, gap, nodes_processed,
-                         status, wall, trace)
     if status == "optimal" and objective(W, incumbent, alpha).flow_part < -1e-12:
         raise NumericalFailureError("optimal incumbent has negative flow part")
-    return result
+    return SolveResult(incumbent, primal, dual, gap, nodes_processed, status, wall, trace)

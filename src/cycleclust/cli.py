@@ -230,15 +230,20 @@ def _limit(kind):
         if not 0 <= value < math.inf:  # also refuses NaN
             raise argparse.ArgumentTypeError(f"must be finite and not negative, got {text!r}")
         return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse
 
 
-def _alpha(text: str) -> float:
-    """argparse type of --alpha, the coherence weight: finite and positive."""
-    value = float(text)
-    if not 0 < value < math.inf:  # also refuses NaN
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+def _above(kind, floor=0):
+    """argparse type: a `kind` number that is finite and above `floor`."""
+    def parse(text: str):
+        value = kind(text)
+        if not floor < value < math.inf:  # also refuses NaN
+            what = "positive" if floor == 0 else f"above {floor}"
+            raise argparse.ArgumentTypeError(f"must be finite and {what}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,23 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("kind", choices=["omega3", "omega4", "omega6",
                                     "repressilator", "triangle", "multiway-cut"])
     g.add_argument("--out", default="instance")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--drift", type=float, default=0.1)
-    g.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    g.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    g.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    g.add_argument("--lag", type=int, default=1)
-    g.add_argument("--count", type=int, default=200)
-    g.add_argument("--t-final", type=float, default=1.5)
-    g.add_argument("--dt", type=float, default=1e-3)
+    g.add_argument("--seed", type=_limit(int), default=0)
+    g.add_argument("--drift", type=_limit(float), default=0.1)
+    g.add_argument("--beta", type=_above(float), default=DEFAULT_BETA)
+    g.add_argument("--steps", type=_above(int, 1), default=DEFAULT_STEPS)
+    g.add_argument("--bins", type=_above(int), default=DEFAULT_BINS)
+    g.add_argument("--lag", type=_above(int), default=1)
+    g.add_argument("--count", type=_above(int), default=200)
+    g.add_argument("--t-final", type=_above(float), default=1.5)
+    g.add_argument("--dt", type=_above(float), default=1e-3)
     g.add_argument("--graph", default=None)
-    g.add_argument("--alpha", type=_alpha, default=0.001)
+    g.add_argument("--alpha", type=_above(float), default=0.001)
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="compute an optimal cycle clustering")
     s.add_argument("matrix")
     s.add_argument("-m", type=int, required=True)
-    s.add_argument("--alpha", type=_alpha, default=0.001)
+    s.add_argument("--alpha", type=_above(float), default=0.001)
     s.add_argument("--out", default="solution")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--config", default=None)
@@ -287,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     o.add_argument("matrix")
     o.add_argument("-m", type=int, required=True)
-    o.add_argument("--alpha", type=_alpha, default=0.001)
+    o.add_argument("--alpha", type=_above(float), default=0.001)
     o.set_defaults(func=cmd_oracle)
 
     e = sub.add_parser("export-lp", help="write the model in LP text format")
     e.add_argument("matrix")
     e.add_argument("-m", type=int, required=True)
-    e.add_argument("--alpha", type=_alpha, default=0.001)
+    e.add_argument("--alpha", type=_above(float), default=0.001)
     e.add_argument("--out", default="model.lp")
     e.set_defaults(func=cmd_export_lp)
     return parser
@@ -302,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "generate" and args.t_final < args.dt:
+        parser.error(f"--t-final {args.t_final!r} is below --dt {args.dt!r}")
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -22,6 +22,8 @@ def select_bin_centers(traj, n: int) -> np.ndarray:
     farthest from the chosen set: a 2-approximation of the subset that
     minimizes the fill distance.
     """
+    if n < 1:
+        raise ValueError("need at least one center")
     points = traj.points if isinstance(traj, Trajectory) else np.asarray(traj, float)
     distinct = _distinct_rows(points)
     if n > len(distinct):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +148,18 @@ def write_solve_report(path, result: SolveResult) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _refuse_unknown_keys(path, doc: dict, cls, prefix: str = "") -> None:
+    """A key that names no field of the dataclass `cls` is a format error."""
+    known = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in known:
+            raise FileFormatError(f"{path}: unknown key {prefix + key!r}; "
+                                  f"expected one of {', '.join(known)}")
+
+
 def read_solver_config(path) -> SolverConfig:
     doc = _read_json_object(path)
+    _refuse_unknown_keys(path, doc, SolverConfig)
     # null is "no limit" for the limits; gap_tol has no such value
     for key, kind, what in (("gap_tol", (int, float), "a number"),
                             ("time_limit_s", (int, float, type(None)), "a number or null"),
@@ -168,8 +179,8 @@ def read_solver_config(path) -> SolverConfig:
     heur = doc.get("heuristics", {})
     if not isinstance(heur, dict):
         raise FileFormatError(f"{path}: heuristics must be a JSON object, got {heur!r}")
-    flags = {key: heur.get(key, True) for key in ("greedy", "rounding", "exchange")}
-    for key, value in flags.items():
+    _refuse_unknown_keys(path, heur, HeuristicsConfig, "heuristics.")
+    for key, value in heur.items():
         if not isinstance(value, bool):
             raise FileFormatError(
                 f"{path}: heuristics.{key} must be true or false, got {value!r}")
@@ -178,7 +189,7 @@ def read_solver_config(path) -> SolverConfig:
         time_limit_s=doc.get("time_limit_s"),
         node_limit=doc.get("node_limit"),
         node_selection=selection,
-        heuristics=HeuristicsConfig(**flags),
+        heuristics=HeuristicsConfig(**heur),
     )
 
 

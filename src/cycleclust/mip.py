@@ -535,10 +535,18 @@ def _parse_terms(tokens):
     return pairs
 
 
+def _number(token: str, line: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise FileFormatError(f"not a number: {token!r} in {line!r}") from None
+
+
 def parse_model(text: str) -> MipInstance:
     """Rebuild a MipInstance from export_model output.
 
-    The parsed instance carries no weight matrix.
+    Every column has exactly one Bounds line. The parsed instance carries
+    no weight matrix.
     """
     section = None
     obj_pairs = []
@@ -569,22 +577,24 @@ def parse_model(text: str) -> MipInstance:
             if sym is None:
                 raise FileFormatError(f"constraint without sense: {line!r}")
             pos = tokens.index(sym)
+            if len(tokens) != pos + 2:
+                raise FileFormatError(f"constraint needs one right-hand side: {line!r}")
             pairs = _parse_terms(tokens[:pos])
             constraints.append((name.strip(), pairs, _SYMBOL_SENSE[sym],
-                                float(tokens[pos + 1])))
+                                _number(tokens[pos + 1], line)))
         elif section == "bounds":
             tokens = line.split()
             if len(tokens) == 2 and tokens[1] == "free":
                 bounds.append((tokens[0], -math.inf, math.inf))
             elif len(tokens) == 3 and tokens[1] == "=":
-                v = float(tokens[2])
+                v = _number(tokens[2], line)
                 bounds.append((tokens[0], v, v))
             elif len(tokens) == 3 and tokens[1] == ">=":
-                bounds.append((tokens[0], float(tokens[2]), math.inf))
+                bounds.append((tokens[0], _number(tokens[2], line), math.inf))
             elif len(tokens) == 3 and tokens[1] == "<=":
-                bounds.append((tokens[0], -math.inf, float(tokens[2])))
+                bounds.append((tokens[0], -math.inf, _number(tokens[2], line)))
             elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                bounds.append((tokens[2], float(tokens[0]), float(tokens[4])))
+                bounds.append((tokens[2], _number(tokens[0], line), _number(tokens[4], line)))
             else:
                 raise FileFormatError(f"unrecognized bounds line: {line!r}")
         elif section == "binaries":
@@ -597,6 +607,11 @@ def parse_model(text: str) -> MipInstance:
     obj_map = dict(obj_pairs)
     col_names = [name for name, _, _ in bounds]
     index = {name: c for c, name in enumerate(col_names)}
+    if len(index) < len(col_names):
+        raise FileFormatError("a column has more than one Bounds line")
+    for name in [*obj_map, *sorted(binaries)]:
+        if name not in index:
+            raise FileFormatError(f"{name!r} has no Bounds line")
     rows, cols, vals = [], [], []
     for r, (_, pairs, _, _) in enumerate(constraints):
         for var_name, coef in pairs:
@@ -608,8 +623,11 @@ def parse_model(text: str) -> MipInstance:
     matrix = csr_matrix((vals, (rows, cols)),
                         shape=(len(constraints), len(col_names)))
     xs = [name for name in col_names if name.startswith("x_")]
-    n = max((int(s.split("_")[1]) for s in xs), default=0)
-    m = max((int(s.split("_")[2]) for s in xs), default=0)
+    try:
+        n = max((int(s.split("_")[1]) for s in xs), default=0)
+        m = max((int(s.split("_")[2]) for s in xs), default=0)
+    except (IndexError, ValueError):
+        raise FileFormatError("an x column is not named x_<bin>_<cluster>") from None
     alpha = obj_map.get("g_1", None)
     return MipInstance(
         matrix, [c[2] for c in constraints], [c[3] for c in constraints],

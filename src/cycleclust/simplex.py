@@ -167,16 +167,13 @@ class _Factors:
     update appends to it and the triangular solves need no copy.
     """
 
-    def __init__(self, A: csc_matrix, basis: np.ndarray, known: dict | None = None):
+    def __init__(self, A: csc_matrix, basis: np.ndarray, known: dict):
         """Factorize `basis`, or take its LU from `known` (basis bytes ->
         SuperLU) and add it there: a basis factorizes the same every time."""
         self.A = A
         self.dim = A.shape[0]
         self.max_etas = max(8, min(100, int(_ETA_BYTE_BUDGET / (8 * max(self.dim, 1)))))
         self.G = None  # allocated at the first update
-        if known is None:
-            self.refactor(basis)
-            return
         key = basis.tobytes()
         if key in known:
             self.lu = known[key]

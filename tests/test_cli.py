@@ -298,6 +298,16 @@ NOT_NEGATIVE, POSITIVE = "must be finite and not negative", "must be finite and 
       for command, value in (("solve", "0"), ("solve", "nan"), ("oracle", "-1"),
                              ("oracle", "nan"), ("export-lp", "0"), ("export-lp", "-inf"),
                              ("generate", "-1"), ("generate", "inf"))],
+    # generate's sampling, binning and integration options
+    *[pytest.param("generate", option, message, id=f"generate{option}")
+      for option, message in (("--steps=1", "must be finite and above 1"),
+                              ("--beta=0", POSITIVE), ("--lag=0", POSITIVE),
+                              ("--count=0", POSITIVE), ("--dt=0", POSITIVE),
+                              ("--t-final=0", POSITIVE), ("--bins=0", POSITIVE),
+                              ("--bins=-2", POSITIVE), ("--drift=nan", NOT_NEGATIVE),
+                              ("--seed=-1", NOT_NEGATIVE),
+                              ("--t-final=0.0005", "is below --dt"),
+                              ("--bins=many", "invalid int value: 'many'"))],
 ])
 def test_negative_or_non_finite_solver_limit_is_a_usage_error(tmp_path, capsys, command,
                                                               option, message):

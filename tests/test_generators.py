@@ -148,6 +148,12 @@ class TestBinCenters:
         with pytest.raises(TooFewPointsError):
             select_bin_centers(Trajectory(pts, 0, {}), 3)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_one_center_is_refused(self, n):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="at least one center"):
+            select_bin_centers(Trajectory(pts, 0, {}), n)
+
     def test_two_approximation_of_optimal_fill_distance(self):
         rng = np.random.default_rng(7)
         for trial in range(6):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,9 +132,22 @@ def test_manifest_round_trip(tmp_path):
     '{"time_limit_s": -5}',
     '{"time_limit_s": Infinity}',
     '{"gap_tol": null}',
+    '{"time_limit": 0.001}',  # misspelt keys
+    '{"heuristics": {"greedy": false, "exchnage": false}}',
 ])
 def test_solver_config_rejects_unknown_values(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(doc)
     with pytest.raises(FileFormatError):
+        io.read_solver_config(path)
+
+
+@pytest.mark.parametrize("doc,key", [
+    ('{"time_limit": 0.001, "gap_tol": 0.1}', "'time_limit'"),
+    ('{"heuristics": {"greedy": false, "exchnage": false}}', "'heuristics.exchnage'"),
+])
+def test_unknown_solver_config_key_is_named(tmp_path, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    with pytest.raises(FileFormatError, match=re.escape(f"unknown key {key}")):
         io.read_solver_config(path)

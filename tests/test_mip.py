@@ -7,6 +7,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cycleclust.clustering import CycleClustering, objective
 from cycleclust.errors import (
+    FileFormatError,
     FractionalSolutionError,
     InfeasibleAssignmentError,
     InvalidClusterCountError,
@@ -365,3 +366,37 @@ def test_export_covers_every_bound_and_coefficient_form():
     again = parse_model(text)
     assert structurally_equal(mip, again)
     assert export_model(again) == text
+
+
+SMALL_LP = """Maximize
+ obj: x + 2 y
+Subject To
+ c1: x + y <= 1
+Bounds
+ 0 <= x <= 1
+ y >= 0
+Binaries
+ x
+End
+"""
+
+
+@pytest.mark.parametrize("old,new", [
+    pytest.param(" c1: x + y <= 1", " c1: x + y <=", id="no-rhs"),
+    pytest.param(" c1: x + y <= 1", " c1: x + y <= one", id="non-number-rhs"),
+    pytest.param(" c1: x + y <= 1", " c1: x + y <= 1 2", id="two-rhs"),
+    pytest.param(" y >= 0", " y <= abc", id="non-number-bound"),
+    pytest.param(" obj: x + 2 y", " obj: x + 2 y + z", id="objective-term-without-bounds"),
+    pytest.param("Binaries\n x", "Binaries\n x z", id="binary-without-bounds"),
+    pytest.param(" y >= 0", " y >= 0\n y <= 3", id="column-bounded-twice"),
+    pytest.param(" obj: x + 2 y", " obj: x + 2 y + 3", id="dangling-coefficient"),
+    pytest.param(" c1: x + y <= 1", " c1: x + z <= 1", id="unknown-constraint-column"),
+    pytest.param(" c1: x + y <= 1", " c1: x + y 1", id="no-sense"),
+    pytest.param("End\n", "End\n x\n", id="content-after-end"),
+    pytest.param(" y >= 0", " y >= 0\n x_a >= 0", id="x-column-without-bin"),
+])
+def test_malformed_lp_text_is_a_format_error(old, new):
+    assert parse_model(SMALL_LP).ncols == 2
+    assert old in SMALL_LP
+    with pytest.raises(FileFormatError):
+        parse_model(SMALL_LP.replace(old, new))

@@ -356,25 +356,52 @@ def test_primal_from_an_infeasible_basis_reaches_the_cold_optimum():
         assert child.objective() == pytest.approx(cold_optimum(std, lb, ub), abs=1e-8)
 
 
+def assert_loop_state(engine, lb, ub):
+    """The state the loops keep current as they pivot equals what the basis,
+    the statuses and the bounds imply."""
+    basis, stat = engine.basis, engine.stat
+    assert np.array_equal(engine.xb, engine.vals[basis])
+    assert np.array_equal(engine.lo_b, lb[basis])
+    assert np.array_equal(engine.hi_b, ub[basis])
+    movable = ub - lb > 0.0
+    assert np.array_equal(engine.movable, movable)
+    assert np.array_equal(engine.direction, np.select(
+        [movable & (stat == AT_LB), movable & (stat == AT_UB)], [1.0, -1.0]))
+    assert np.array_equal(engine.free, movable & (stat == FREE_NB))
+
+
 def test_loop_state_matches_the_basis_after_both_methods():
-    """The state the loops keep current as they pivot ends equal to what the
-    basis, the statuses and the bounds imply, after a dual and a primal
-    re-solve of each child."""
+    """The loop state ends consistent after a dual and a primal re-solve of
+    each child."""
     std, root, _, children = branched_root(7, 16)
     for lb, ub in children:
         for method in (SimplexEngine.solve_dual, SimplexEngine.solve_from_basis):
             child = SimplexEngine(std, lb, ub)
             assert method(child, root.basis, root.stat) == "optimal"
             assert child.iterations > 0
-            basis, stat = child.basis, child.stat
-            assert np.array_equal(child.xb, child.vals[basis])
-            assert np.array_equal(child.lo_b, lb[basis])
-            assert np.array_equal(child.hi_b, ub[basis])
-            movable = ub - lb > 0.0
-            assert np.array_equal(child.movable, movable)
-            assert np.array_equal(child.direction, np.select(
-                [movable & (stat == AT_LB), movable & (stat == AT_UB)], [1.0, -1.0]))
-            assert np.array_equal(child.free, movable & (stat == FREE_NB))
+            assert_loop_state(child, lb, ub)
+
+
+def free_column_lp():
+    """max z with z - y = 0, y <= 1, y in [0, 5] and z free: optimum 1."""
+    return tiny_instance(
+        [("y", "continuous", 0.0, 5.0, 0.0),
+         ("z", "continuous", -math.inf, math.inf, 1.0)],
+        [("link", {0: -1.0, 1: 1.0}, "E", 0.0),
+         ("cap", {0: 1.0}, "L", 1.0)],
+    )
+
+
+def test_loop_state_after_a_free_column_enters():
+    """A cold solve of the free-column LP brings z into the basis, and z
+    leaves the free mask as it enters."""
+    std = StandardLp(free_column_lp())
+    lb, ub = std.base_lb.copy(), std.base_ub.copy()
+    engine = SimplexEngine(std, lb, ub)
+    assert engine.solve_cold() == "optimal"
+    assert engine.stat[1] == BASIC
+    assert engine.objective() == pytest.approx(1.0)
+    assert_loop_state(engine, lb, ub)
 
 
 def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
@@ -402,16 +429,9 @@ def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
 
 
 def test_verify_flags_a_free_nonbasic_column_with_nonzero_reduced_cost():
-    """max z with z - y = 0, y <= 1, y in [0, 5] and z free has optimum 1.
-    The basis {y, cap slack} with z free nonbasic at 0 is primal feasible
-    at objective 0, with reduced cost 1 on z."""
-    mip = tiny_instance(
-        [("y", "continuous", 0.0, 5.0, 0.0),
-         ("z", "continuous", -math.inf, math.inf, 1.0)],
-        [("link", {0: -1.0, 1: 1.0}, "E", 0.0),
-         ("cap", {0: 1.0}, "L", 1.0)],
-    )
-    std = StandardLp(mip)
+    """In the free-column LP the basis {y, cap slack} with z free nonbasic at
+    0 is primal feasible at objective 0, with reduced cost 1 on z."""
+    std = StandardLp(free_column_lp())
     engine = SimplexEngine(std, std.base_lb.copy(), std.base_ub.copy())
     basis = np.array([0, std.nstruct + 1])
     stat = np.full(std.ncols, AT_LB)
@@ -446,7 +466,7 @@ def test_block_eta_file_matches_a_fresh_factorization(monkeypatch):
     _, _, w = random_chain(6, 5)
     std = StandardLp(build_mip(w, 3, 0.001))
     basis = std.nstruct + np.arange(std.nrows)
-    factor = simplex._Factors(std.A, basis)
+    factor = simplex._Factors(std.A, basis, {})
     assert factor.max_etas == 8
     rng = np.random.default_rng(7)
     v = rng.standard_normal(std.nrows)
