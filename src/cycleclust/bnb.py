@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +49,19 @@ class SolverConfig:
     node_limit: int | None = None
     node_selection: str = "best_bound"  # one of NODE_SELECTIONS
     heuristics: HeuristicsConfig = field(default_factory=HeuristicsConfig)
+
+    def __post_init__(self):
+        if self.node_selection not in NODE_SELECTIONS:
+            raise ValueError(f"node_selection must be one of {', '.join(NODE_SELECTIONS)}, "
+                             f"got {self.node_selection!r}")
+        # None is "no limit" for the limits; gap_tol has no such value
+        for key in ("gap_tol", "time_limit_s", "node_limit"):
+            value = getattr(self, key)
+            if value is None and key != "gap_tol":
+                continue
+            # also refuses NaN, and an integer too large for a float
+            if value is None or not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"{key} must be finite and not negative, got {value!r}")
 
 
 @dataclass

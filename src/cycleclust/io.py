@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnb import NODE_SELECTIONS, HeuristicsConfig, SolveResult, SolverConfig
+from .bnb import HeuristicsConfig, SolveResult, SolverConfig
 from .clustering import CycleClustering, ObjectiveValue
 from .errors import FileFormatError
 from .generate.multiway_cut import MultiwayCutInstance
@@ -54,6 +54,8 @@ def _read_json_object(path) -> dict:
 
 
 def _read_matrix_body(lines, n, path):
+    """The n rows after the header; anything but blank lines after them is
+    a format error."""
     if len(lines) < n + 1:
         raise FileFormatError(f"{path}: expected {n} matrix rows")
     rows = []
@@ -62,6 +64,9 @@ def _read_matrix_body(lines, n, path):
         if len(parts) != n:
             raise FileFormatError(f"{path}: row {k} has {len(parts)} entries, want {n}")
         rows.append(_numbers(parts, float, path, k + 1))
+    for k in range(n + 1, len(lines)):
+        if lines[k].strip():
+            raise FileFormatError(f"{path}: line {k + 1}: content after the {n} matrix rows")
     return np.array(rows, dtype=float)
 
 
@@ -123,13 +128,17 @@ def read_clustering(path):
     alpha, and the objective's total, flow and coherence as floats."""
     doc = _read_json_object(path)
     try:
-        c = CycleClustering(n=int(doc["n"]), m=int(doc["m"]),
-                            assignment=np.array(doc["assignment"], dtype=int))
+        n, m, labels = doc["n"], doc["m"], doc["assignment"]
+        # json gives int only for integer literals; bool is an int subclass
+        for key, value in [("n", n), ("m", m), *(("a label", v) for v in labels)]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{key} must be an integer, got {value!r}")
+        c = CycleClustering(n=n, m=m, assignment=np.array(labels, dtype=int))
         alpha = float(doc["alpha"])
         stored = {key: float(doc["objective"][key]) for key in ("total", "flow", "coherence")}
     except KeyError as exc:
         raise FileFormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed clustering: {exc}") from exc
     if not 0 < alpha < math.inf:  # also refuses NaN
         raise FileFormatError(f"{path}: alpha must be finite and positive, got {alpha!r}")
@@ -169,13 +178,6 @@ def read_solver_config(path) -> SolverConfig:
         value = doc[key]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise FileFormatError(f"{path}: {key} must be {what}, got {value!r}")
-        if value is not None and not 0 <= value < math.inf:  # also refuses NaN
-            raise FileFormatError(f"{path}: {key} must be finite and not negative, "
-                                  f"got {value!r}")
-    selection = doc.get("node_selection", "best_bound")
-    if selection not in NODE_SELECTIONS:
-        raise FileFormatError(f"{path}: node_selection must be one of "
-                              f"{', '.join(NODE_SELECTIONS)}, got {selection!r}")
     heur = doc.get("heuristics", {})
     if not isinstance(heur, dict):
         raise FileFormatError(f"{path}: heuristics must be a JSON object, got {heur!r}")
@@ -184,13 +186,16 @@ def read_solver_config(path) -> SolverConfig:
         if not isinstance(value, bool):
             raise FileFormatError(
                 f"{path}: heuristics.{key} must be true or false, got {value!r}")
-    return SolverConfig(
-        gap_tol=float(doc.get("gap_tol", 1e-6)),
-        time_limit_s=doc.get("time_limit_s"),
-        node_limit=doc.get("node_limit"),
-        node_selection=selection,
-        heuristics=HeuristicsConfig(**heur),
-    )
+    try:
+        return SolverConfig(
+            gap_tol=doc.get("gap_tol", 1e-6),
+            time_limit_s=doc.get("time_limit_s"),
+            node_limit=doc.get("node_limit"),
+            node_selection=doc.get("node_selection", "best_bound"),
+            heuristics=HeuristicsConfig(**heur),
+        )
+    except ValueError as exc:  # a value out of range (SolverConfig's checks)
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def read_multiway_cut(path) -> MultiwayCutInstance:

@@ -25,6 +25,8 @@ output: export_model, parse_model, MipInstance.constraint and
 column_index, and error messages. Every other interface, solution_values
 and solve_lp included, passes values and bounds by column index. Parsed
 and hand-made instances have no blocks and carry explicit name lists.
+Names come as whole arrays: column_names and row_names name every column
+and row, and row_segments yields one row group's name array at a time.
 
 export_model writes the text from arrays of string pieces joined in chunks
 of rows. It formats each distinct number once (unit coefficients need no
@@ -84,27 +86,14 @@ class ColumnBlock:
     def size(self) -> int:
         return self.m * (1 if self.i is None else len(self.i))
 
-    def names(self, lo: int, hi: int) -> np.ndarray:
-        """Names of the block's local columns lo..hi-1."""
-        run, k = np.divmod(np.arange(lo, hi), self.m)
+    def names(self) -> np.ndarray:
+        """Names of the block's columns, in column order."""
+        k = _labels("", np.arange(self.m))
         if self.i is None:
-            return _labels(self.tag, k)
+            return self.tag + k
         # one tag_i_j per run of m columns, then the _k of each column
-        first, last = lo // self.m, -(-hi // self.m)
-        heads = _labels(self.tag, *[ix[first:last] for ix in (self.i, self.j)
-                                    if ix is not None])
-        return heads[run - first] + _labels("", k)
-
-
-def _span_names(segments, lo: int, hi: int) -> np.ndarray:
-    """Names of positions lo..hi-1 from (start, count, names(a, b))
-    segments, where names(a, b) names a segment's local positions a..b-1."""
-    parts = []
-    for start, count, names in segments:
-        a, b = max(lo, start), min(hi, start + count)
-        if a < b:
-            parts.append(names(a - start, b - start))
-    return np.concatenate(parts) if parts else np.empty(0, dtype=object)
+        heads = _labels(self.tag, *[ix for ix in (self.i, self.j) if ix is not None])
+        return (heads[:, None] + k).ravel()
 
 
 class MipInstance:
@@ -113,6 +102,7 @@ class MipInstance:
     Give either `blocks` (a tag -> ColumnBlock mapping in column order) and
     `row_groups` (build_mip's rows: a (name, count, product columns) run per
     row group, see row_segments) or explicit `col_names` and `row_names`.
+    Either way column_names() and row_names() return arrays of every name.
     """
 
     def __init__(self, matrix, senses, rhs, lb, ub, obj, binary, *, n, m,
@@ -149,43 +139,31 @@ class MipInstance:
     def nrows(self) -> int:
         return self.matrix.shape[0]
 
-    def column_names(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Names of columns lo..hi-1 as an object array."""
-        hi = self.ncols if hi is None else hi
+    def column_names(self) -> np.ndarray:
+        """Names of all columns as an object array."""
         if self.blocks is None:
-            return self._col_names[lo:hi]
-        return _span_names([(b.offset, b.size, b.names)
-                            for b in self.blocks.values()], lo, hi)
+            return self._col_names
+        return np.concatenate([b.names() for b in self.blocks.values()])
 
-    def row_segments(self, col_names: np.ndarray | None = None) -> list:
-        """(start, count, prefix, names(a, b)) for each run of rows named
-        `prefix` followed by names(a, b) of the run's local rows a..b-1.
-        A row group without product columns numbers its rows (assign_1);
-        an envelope group names each row after its product column
-        (p1_e_1_2_1). Passing all `col_names` saves formatting those again."""
+    def row_segments(self, col_names: np.ndarray):
+        """Yield (start, prefix, names) for each run of rows, one run at a
+        time: row start + r is named `prefix` + names[r]. A row group without
+        product columns numbers its rows (assign_1); an envelope group names
+        each row after its product column (p1_e_1_2_1), gathered from
+        `col_names`, the names of all columns."""
         if self.row_groups is None:
-            return [(0, self.nrows, "", lambda a, b: self._row_names[a:b])]
+            yield 0, "", self._row_names
+            return
+        start = 0
+        for prefix, count, cols in self.row_groups:
+            yield start, prefix, (_labels("", np.arange(count)) if cols is None
+                                  else col_names[cols])
+            start += count
 
-        def names(cols):
-            if cols is None:
-                return lambda a, b: _labels("", np.arange(a, b))
-            if col_names is not None:
-                return lambda a, b: col_names[cols[a:b]]
-            # product columns ascend: name the span they cover, then pick
-            return lambda a, b: self.column_names(cols[a], cols[b - 1] + 1)[
-                cols[a:b] - cols[a]]
-
-        starts = np.cumsum([0] + [count for _, count, _ in self.row_groups]).tolist()
-        return [(start, count, prefix, names(cols))
-                for start, (prefix, count, cols) in zip(starts, self.row_groups)]
-
-    def row_names(self, lo: int = 0, hi: int | None = None,
-                  col_names: np.ndarray | None = None) -> np.ndarray:
-        """Names of rows lo..hi-1 as an object array (see row_segments)."""
-        hi = self.nrows if hi is None else hi
-        return _span_names([(start, count, lambda a, b, p=prefix, f=names: p + f(a, b))
-                            for start, count, prefix, names in self.row_segments(col_names)],
-                           lo, hi)
+    def row_names(self) -> np.ndarray:
+        """Names of all rows as an object array (see row_segments)."""
+        return np.concatenate([prefix + names for _, prefix, names
+                               in self.row_segments(self.column_names())])
 
     def column_index(self, name: str) -> int:
         hits = np.flatnonzero(self.column_names() == name)
@@ -198,7 +176,7 @@ class MipInstance:
         lo, hi = self.matrix.indptr[i], self.matrix.indptr[i + 1]
         coefs = {int(c): float(v) for c, v in zip(self.matrix.indices[lo:hi],
                                                   self.matrix.data[lo:hi])}
-        return (str(self.row_names(i, i + 1)[0]), coefs, str(self.senses[i]),
+        return (str(self.row_names()[i]), coefs, str(self.senses[i]),
                 float(self.rhs[i]))
 
     def x_column(self, i: int, k: int) -> int:
@@ -495,11 +473,12 @@ def export_model(mip: MipInstance) -> str:
            "Subject To\n"]
     mat = mip.matrix
     tails = _row_tails(mip.senses, mip.rhs)
-    for start, count, prefix, row_names in mip.row_segments(names):
-        for lo in range(start, start + count, _CHUNK):
-            hi = min(lo + _CHUNK, start + count)
+    for start, prefix, row_names in mip.row_segments(names):
+        end = start + len(row_names)
+        for lo in range(start, end, _CHUNK):
+            hi = min(lo + _CHUNK, end)
             a, b = mat.indptr[lo], mat.indptr[hi]
-            out.append(_rows_text([" " + prefix, row_names(lo - start, hi - start), ": "],
+            out.append(_rows_text([" " + prefix, row_names[lo - start:hi - start], ": "],
                                   tails[lo:hi], mat.indptr[lo:hi + 1] - a,
                                   mat.indices[a:b], mat.data[a:b], names))
     out.append("Bounds\n")

@@ -114,6 +114,20 @@ def test_time_limit_yields_valid_bounds():
     assert res.status in ("optimal", "time-limit")
 
 
+@pytest.mark.parametrize("settings,message", [
+    ({"node_selection": "bfs"}, "node_selection must be one of"),
+    ({"time_limit_s": math.nan}, "time_limit_s must be finite and not negative"),
+    ({"time_limit_s": -1.0}, "time_limit_s must be finite and not negative"),
+    ({"node_limit": math.inf}, "node_limit must be finite and not negative"),
+    ({"time_limit_s": 10 ** 400}, "time_limit_s must be finite and not negative"),
+    ({"gap_tol": -1e-9}, "gap_tol must be finite and not negative"),
+    ({"gap_tol": None}, "gap_tol must be finite and not negative"),
+])
+def test_solver_config_refuses_out_of_range_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**settings)
+
+
 def test_optimal_incumbent_has_nonnegative_flow():
     for seed in (38, 39, 40):
         _, _, w = random_chain(6, seed)

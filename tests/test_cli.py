@@ -347,6 +347,11 @@ def _clustering_with(**changes) -> str:
     _clustering_with(objective=[0.1, 0.1, 0.0]),
     _clustering_with(alpha=0),
     _clustering_with(alpha=-0.001),
+    # labels and counts must be JSON integers, not numbers that truncate to one
+    _clustering_with(assignment=[k + 0.5 for k in VALID_CLUSTERING["assignment"]]),
+    _clustering_with(n=9.7),
+    _clustering_with(assignment=[True] + VALID_CLUSTERING["assignment"][1:]),
+    _clustering_with(assignment=[10 ** 30] + VALID_CLUSTERING["assignment"][1:]),
 ])
 def test_verify_of_a_malformed_clustering_is_a_format_error(tmp_path, text):
     out = tmp_path / "tri"

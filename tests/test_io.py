@@ -57,6 +57,17 @@ def test_truncated_matrix_rejected(tmp_path):
         io.read_transition_matrix(path)
 
 
+@pytest.mark.parametrize("header", ["2", "FM 2"])
+def test_content_after_the_matrix_rows_rejected(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    body = f"{header}\n0.5 0.5\n0.5 0.5\n"
+    path.write_text(body + "\n  \n")  # trailing blank lines are allowed
+    io.read_matrix(path)
+    path.write_text(body + "garbage here\n1 2 3\n")
+    with pytest.raises(FileFormatError, match=f"{path}: line 4: "):
+        io.read_matrix(path)
+
+
 def test_clustering_round_trip(tmp_path):
     w = triangle_fixture()
     c = CycleClustering(n=9, m=3,
@@ -132,6 +143,7 @@ def test_manifest_round_trip(tmp_path):
     '{"time_limit_s": -5}',
     '{"time_limit_s": Infinity}',
     '{"gap_tol": null}',
+    '{"gap_tol": 1' + '0' * 400 + '}',  # an integer no float can hold
     '{"time_limit": 0.001}',  # misspelt keys
     '{"heuristics": {"greedy": false, "exchnage": false}}',
 ])
