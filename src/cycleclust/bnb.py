@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,6 +42,12 @@ class HeuristicsConfig:
     rounding: bool = True
     exchange: bool = True
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, bool):
+                raise ValueError(f"heuristics.{f.name} must be a bool, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -59,9 +66,16 @@ class SolverConfig:
             value = getattr(self, key)
             if value is None and key != "gap_tol":
                 continue
+            # bool is an int subclass, but True is no setting; None fails below
+            if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
+                raise ValueError(f"{key} must be a number, got {value!r}")
             # also refuses NaN, and an integer too large for a float
             if value is None or not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"{key} must be finite and not negative, got {value!r}")
+        if self.node_limit is not None and not isinstance(self.node_limit, numbers.Integral):
+            raise ValueError(f"node_limit must be an integer, got {self.node_limit!r}")
+        if not isinstance(self.heuristics, HeuristicsConfig):
+            raise ValueError(f"heuristics must be a HeuristicsConfig, got {self.heuristics!r}")
 
 
 @dataclass

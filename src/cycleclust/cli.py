@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,19 +133,9 @@ def cmd_generate(args) -> int:
 
 def _solver_config(args) -> SolverConfig:
     cfg = io.read_solver_config(args.config) if args.config else SolverConfig()
-    updates = {}
-    if args.time_limit is not None:
-        updates["time_limit_s"] = args.time_limit
-    if args.gap_tol is not None:
-        updates["gap_tol"] = args.gap_tol
-    if args.node_limit is not None:
-        updates["node_limit"] = args.node_limit
-    if args.node_selection is not None:
-        updates["node_selection"] = args.node_selection
-    if updates:
-        from dataclasses import replace
-        cfg = replace(cfg, **updates)
-    return cfg
+    options = {"time_limit_s": args.time_limit, "gap_tol": args.gap_tol,
+               "node_limit": args.node_limit, "node_selection": args.node_selection}
+    return replace(cfg, **{key: value for key, value in options.items() if value is not None})
 
 
 def cmd_solve(args) -> int:

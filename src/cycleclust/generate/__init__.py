@@ -3,7 +3,7 @@ and the multiway-cut encoding."""
 
 from .binning import fill_distance, hmc_transition_matrix, rbf_membership, select_bin_centers
 from .halton import low_discrepancy_points
-from .hmc import DriftState, Trajectory, drift_vector, hmc_with_drift, update_drift
+from .hmc import Trajectory, hmc_with_drift
 from .multiway_cut import (
     MultiwayCutInstance,
     cut_weight,
@@ -20,11 +20,10 @@ from .repressilator import (
 from .triangle import triangle_fixture
 
 __all__ = [
-    "BY_NAME", "DriftState", "FLAT", "MultiwayCutInstance", "OMEGA3", "OMEGA4",
-    "OMEGA6", "Potential", "Trajectory", "cut_weight", "drift_vector",
-    "fill_distance", "generate_repressilator_instance", "hmc_transition_matrix",
-    "hmc_with_drift", "integrate", "low_discrepancy_points", "min_multiway_cut",
+    "BY_NAME", "FLAT", "MultiwayCutInstance", "OMEGA3", "OMEGA4", "OMEGA6",
+    "Potential", "Trajectory", "cut_weight", "fill_distance",
+    "generate_repressilator_instance", "hmc_transition_matrix", "hmc_with_drift",
+    "integrate", "low_discrepancy_points", "min_multiway_cut",
     "multiway_cut_to_instance", "rbf_membership", "repressilator_rhs",
     "repressilator_transition_matrix", "select_bin_centers", "triangle_fixture",
-    "update_drift",
 ]

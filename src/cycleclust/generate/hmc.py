@@ -1,14 +1,14 @@
 """Metropolis sampler with a cyclic drift between the landscape's wells.
 
 The proposal adds isotropic Gaussian noise plus a drift of fixed magnitude
-aimed at the current target well; once the walker enters the capture disk
-of that well the target advances to the next one in cyclic order. This
-produces a metastable trajectory with rare directed hops around the ring.
+aimed from the last accepted position at the target well; an accepted move
+into the capture disk of that well advances the target to the next one in
+cyclic order. This gives a metastable trajectory with rare directed hops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,37 +16,6 @@ from .potentials import Potential
 
 PROPOSAL_STD = 0.25
 CAPTURE_RADIUS = 0.5
-
-
-@dataclass(frozen=True)
-class DriftState:
-    minima: tuple
-    drift_mag: float
-    target_index: int
-    position: tuple
-
-    @property
-    def target(self) -> np.ndarray:
-        return np.asarray(self.minima[self.target_index], dtype=float)
-
-
-def drift_vector(state: DriftState) -> np.ndarray:
-    """Drift of magnitude drift_mag from the current position toward the
-    current target well; zero at the target itself."""
-    v = state.target - np.asarray(state.position, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12 or state.drift_mag == 0.0:
-        return np.zeros_like(v)
-    return state.drift_mag * v / norm
-
-
-def update_drift(state: DriftState) -> DriftState:
-    """Advance the target cyclically when the position is inside the
-    capture disk around the current target."""
-    dist = float(np.linalg.norm(state.target - np.asarray(state.position)))
-    if dist <= CAPTURE_RADIUS:
-        return replace(state, target_index=(state.target_index + 1) % len(state.minima))
-    return state
 
 
 @dataclass(frozen=True)
@@ -60,8 +29,9 @@ def hmc_with_drift(pot: Potential, x0, beta: float, n_steps: int,
                    drift_mag: float, seed: int) -> Trajectory:
     """Sample n_steps positions; deterministic for a fixed seed.
 
-    A proposal is accepted when u <= exp(-beta * energy_increase); the
-    drift target only updates on accepted moves.
+    A proposal is accepted when u <= exp(-beta * energy_increase). The
+    target starts at well 0 and advances only on accepted moves; the drift
+    is zero while the last accepted position sits on the target.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -70,20 +40,30 @@ def hmc_with_drift(pot: Potential, x0, beta: float, n_steps: int,
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, PROPOSAL_STD, size=(n_steps, 2))
     uniforms = rng.uniform(0.0, 1.0, size=n_steps)
+    wells = np.asarray(pot.minima, dtype=float)
+    target = 0
     pts = np.empty((n_steps, 2))
     pts[0] = np.asarray(x0, dtype=float)
-    state = DriftState(minima=pot.minima, drift_mag=drift_mag,
-                       target_index=0, position=tuple(pts[0]))
+    offset = wells[target] - pts[0]
+    norm = float(np.linalg.norm(offset))
     e_cur = float(pot.energy(pts[0]))
     for i in range(1, n_steps):
-        proposal = pts[i - 1] + noise[i] + drift_vector(state)
+        if norm < 1e-12 or drift_mag == 0.0:
+            drift = np.zeros(2)
+        else:
+            drift = drift_mag * offset / norm
+        proposal = pts[i - 1] + noise[i] + drift
         e_new = float(pot.energy(proposal))
         log_ratio = -beta * (e_new - e_cur)
         if log_ratio >= 0.0 or uniforms[i] <= np.exp(log_ratio):
             pts[i] = proposal
             e_cur = e_new
-            state = replace(state, position=tuple(proposal))
-            state = update_drift(state)
+            offset = wells[target] - proposal
+            norm = float(np.linalg.norm(offset))
+            if norm <= CAPTURE_RADIUS:
+                target = (target + 1) % len(wells)
+                offset = wells[target] - proposal
+                norm = float(np.linalg.norm(offset))
         else:
             pts[i] = pts[i - 1]
     return Trajectory(points=pts, seed=seed,

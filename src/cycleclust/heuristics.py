@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from .clustering import CycleClustering, objective
-from .errors import InvalidClusteringError, TooLargeError
+from .errors import InvalidClusterCountError, InvalidClusteringError, TooLargeError
 from .markov import FlowMatrix
 
 BRUTE_FORCE_GUARD = 10_000_000
@@ -148,9 +148,11 @@ def brute_force(W: FlowMatrix, m: int, alpha: float = 0.001):
     """Exhaustive optimum over surjective assignments with bin 1 in cluster 1.
 
     Ties resolve to the lexicographically smallest assignment vector.
-    Guarded: refuses when m**(n-1) exceeds 10^7.
+    Refuses m outside [3, n], and m**(n-1) above 10^7.
     """
     n = W.n
+    if m < 3 or m > n:
+        raise InvalidClusterCountError(m, n)
     size = m ** (n - 1)
     if size > BRUTE_FORCE_GUARD:
         raise TooLargeError(size, BRUTE_FORCE_GUARD)

@@ -169,23 +169,10 @@ def _refuse_unknown_keys(path, doc: dict, cls, prefix: str = "") -> None:
 def read_solver_config(path) -> SolverConfig:
     doc = _read_json_object(path)
     _refuse_unknown_keys(path, doc, SolverConfig)
-    # null is "no limit" for the limits; gap_tol has no such value
-    for key, kind, what in (("gap_tol", (int, float), "a number"),
-                            ("time_limit_s", (int, float, type(None)), "a number or null"),
-                            ("node_limit", (int, type(None)), "an integer or null")):
-        if key not in doc:
-            continue
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise FileFormatError(f"{path}: {key} must be {what}, got {value!r}")
     heur = doc.get("heuristics", {})
     if not isinstance(heur, dict):
         raise FileFormatError(f"{path}: heuristics must be a JSON object, got {heur!r}")
     _refuse_unknown_keys(path, heur, HeuristicsConfig, "heuristics.")
-    for key, value in heur.items():
-        if not isinstance(value, bool):
-            raise FileFormatError(
-                f"{path}: heuristics.{key} must be true or false, got {value!r}")
     try:
         return SolverConfig(
             gap_tol=doc.get("gap_tol", 1e-6),
@@ -194,7 +181,7 @@ def read_solver_config(path) -> SolverConfig:
             node_selection=doc.get("node_selection", "best_bound"),
             heuristics=HeuristicsConfig(**heur),
         )
-    except ValueError as exc:  # a value out of range (SolverConfig's checks)
+    except ValueError as exc:  # a value of the wrong type or out of range
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

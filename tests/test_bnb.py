@@ -122,10 +122,25 @@ def test_time_limit_yields_valid_bounds():
     ({"time_limit_s": 10 ** 400}, "time_limit_s must be finite and not negative"),
     ({"gap_tol": -1e-9}, "gap_tol must be finite and not negative"),
     ({"gap_tol": None}, "gap_tol must be finite and not negative"),
+    ({"gap_tol": True}, "gap_tol must be a number"),
+    ({"time_limit_s": "60"}, "time_limit_s must be a number"),
+    ({"node_limit": 2.5}, "node_limit must be an integer"),
+    ({"heuristics": {"greedy": False}}, "heuristics must be a HeuristicsConfig"),
 ])
 def test_solver_config_refuses_out_of_range_settings(settings, message):
     with pytest.raises(ValueError, match=message):
         SolverConfig(**settings)
+
+
+@pytest.mark.parametrize("flag", ["greedy", "rounding", "exchange"])
+def test_heuristics_config_refuses_a_flag_that_is_not_a_bool(flag):
+    with pytest.raises(ValueError, match=f"heuristics.{flag} must be a bool"):
+        SolverConfig(heuristics=HeuristicsConfig(**{flag: "no"}))
+
+
+def test_solver_config_accepts_numpy_numbers():
+    cfg = SolverConfig(gap_tol=np.float64(1e-6), node_limit=np.int64(5))
+    assert cfg.node_limit == 5
 
 
 def test_optimal_incumbent_has_nonnegative_flow():

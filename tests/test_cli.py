@@ -58,10 +58,14 @@ def test_verify_detects_tampering(tmp_path):
     assert run("verify", out / "matrix.fm", sol / "clustering.json") == 1
 
 
-def test_invalid_cluster_count_is_usage_error(tmp_path):
+@pytest.mark.parametrize("m", [0, 2, 10])
+@pytest.mark.parametrize("command", ["solve", "oracle", "export-lp"])
+def test_invalid_cluster_count_is_usage_error(tmp_path, command, m):
+    # the triangle fixture has 9 bins, so only 3 <= m <= 9 is valid
     out = tmp_path / "tri"
     run("generate", "triangle", "--out", out)
-    assert run("solve", out / "matrix.fm", "-m", 2, "--out", tmp_path / "x") == 2
+    extra = [] if command == "oracle" else ["--out", tmp_path / "x"]
+    assert run(command, out / "matrix.fm", "-m", m, *extra) == 2
 
 
 def test_oracle_agrees_with_solve(tmp_path, capsys):

@@ -9,18 +9,16 @@ from cycleclust.generate import (
     OMEGA3,
     OMEGA4,
     OMEGA6,
-    DriftState,
-    drift_vector,
+    Potential,
     fill_distance,
     hmc_transition_matrix,
     hmc_with_drift,
     low_discrepancy_points,
     rbf_membership,
     select_bin_centers,
-    update_drift,
 )
 from cycleclust.generate.binning import _distinct_rows
-from cycleclust.generate.hmc import Trajectory
+from cycleclust.generate.hmc import CAPTURE_RADIUS, PROPOSAL_STD, Trajectory
 from cycleclust.markov import validate_stochastic
 
 
@@ -50,37 +48,75 @@ class TestPotentials:
         assert len(OMEGA6.minima) == 6
 
 
+# OMEGA3's wells on a zero-energy landscape: every proposal is accepted
+FLAT3 = Potential("flat3", FLAT.evaluator, OMEGA3.minima)
+WELLS = np.array(OMEGA3.minima)
+
+
+def _walk(x0, drift_mag, n_steps=400, seed=11):
+    """Positions of a walk on FLAT3 and the drift of each of its steps.
+
+    drifts[j] is the drift of the step from points[j] to points[j + 1],
+    recovered by taking the seed's noise off the move."""
+    points = hmc_with_drift(FLAT3, x0, beta=1.0, n_steps=n_steps,
+                            drift_mag=drift_mag, seed=seed).points
+    noise = np.random.default_rng(seed).normal(0.0, PROPOSAL_STD, size=(n_steps, 2))
+    return points, points[1:] - points[:-1] - noise[1:]
+
+
+def _aimed_wells(points, drifts):
+    """The well each drift points at, from the position the step left."""
+    to_wells = WELLS[None, :, :] - points[:-1, None, :]
+    to_wells /= np.linalg.norm(to_wells, axis=2, keepdims=True)
+    unit = drifts / np.linalg.norm(drifts, axis=1, keepdims=True)
+    cosines = np.einsum("skd,sd->sk", to_wells, unit)
+    np.testing.assert_allclose(cosines.max(axis=1), 1.0, atol=1e-9)
+    return cosines.argmax(axis=1)
+
+
 class TestDrift:
-    def test_target_advances_inside_capture_disk(self):
-        s = DriftState(minima=OMEGA3.minima, drift_mag=0.1, target_index=0,
-                       position=OMEGA3.minima[0])
-        assert update_drift(s).target_index == 1
+    def test_drift_magnitude(self):
+        _, drifts = _walk((3.0, -2.0), drift_mag=0.17)
+        np.testing.assert_allclose(np.linalg.norm(drifts, axis=1), 0.17, atol=1e-12)
 
     def test_target_unchanged_far_away(self):
-        s = DriftState(minima=OMEGA3.minima, drift_mag=0.1, target_index=1,
-                       position=(5.0, 5.0))
-        s2 = update_drift(s)
-        assert s2.target_index == 1
-        v = drift_vector(s2)
-        # re-aimed at the current target from the new position
-        direction = np.array(OMEGA3.minima[1]) - np.array([5.0, 5.0])
-        np.testing.assert_allclose(v, 0.1 * direction / np.linalg.norm(direction),
-                                   atol=1e-12)
+        # until the walk first enters well 0's capture disk, every drift
+        # is aimed at well 0 from the position the step left
+        points, drifts = _walk((5.0, 5.0), drift_mag=0.17)
+        dist = np.linalg.norm(points - WELLS[0], axis=1)
+        first = int(np.argmax(dist <= CAPTURE_RADIUS))
+        assert first > 10
+        toward = WELLS[0] - points[:first]
+        expected = 0.17 * toward / np.linalg.norm(toward, axis=1, keepdims=True)
+        np.testing.assert_allclose(drifts[:first], expected, atol=1e-12)
+
+    def test_target_advances_inside_capture_disk(self):
+        # the target advances once, exactly after a move that lands within
+        # CAPTURE_RADIUS of it, and otherwise stays
+        points, drifts = _walk((3.0, -2.0), drift_mag=0.17)
+        aimed = _aimed_wells(points, drifts)
+        assert aimed[0] == 0
+        captured = np.linalg.norm(points[1:-1] - WELLS[aimed[:-1]], axis=1) <= CAPTURE_RADIUS
+        np.testing.assert_array_equal(aimed[1:], np.where(captured, (aimed[:-1] + 1) % 3,
+                                                          aimed[:-1]))
+        assert captured.sum() >= 3
 
     def test_full_cycle_returns_to_start(self):
-        s = DriftState(minima=OMEGA3.minima, drift_mag=0.1, target_index=0,
-                       position=OMEGA3.minima[0])
-        for k in (1, 2, 0):
-            s = DriftState(minima=s.minima, drift_mag=s.drift_mag,
-                           target_index=s.target_index,
-                           position=s.minima[s.target_index])
-            s = update_drift(s)
-            assert s.target_index == k
+        points, drifts = _walk((3.0, -2.0), drift_mag=0.17)
+        aimed = _aimed_wells(points, drifts)
+        visits = aimed[np.r_[True, aimed[1:] != aimed[:-1]]]
+        assert visits[:4].tolist() == [0, 1, 2, 0]
 
-    def test_drift_magnitude(self):
-        s = DriftState(minima=OMEGA3.minima, drift_mag=0.17, target_index=2,
-                       position=(3.0, -2.0))
-        assert np.linalg.norm(drift_vector(s)) == pytest.approx(0.17, abs=1e-12)
+    def test_drift_is_zero_when_the_walk_starts_on_its_target(self):
+        # the capture test runs only after a move, so the first step is
+        # still aimed at well 0, on which it starts
+        _, drifts = _walk(OMEGA3.minima[0], drift_mag=0.17)
+        assert np.linalg.norm(drifts[0]) < 1e-12
+        assert np.linalg.norm(drifts[1]) == pytest.approx(0.17, abs=1e-12)
+
+    def test_no_drift_when_its_magnitude_is_zero(self):
+        _, drifts = _walk((3.0, -2.0), drift_mag=0.0)
+        assert np.abs(drifts).max() < 1e-12
 
 
 class TestHmcSampler:
@@ -260,3 +296,10 @@ class TestLowDiscrepancy:
             return worst
 
         assert proxy(halton) < proxy(uniform)
+
+
+def test_star_import_resolves_every_name_in_all():
+    import cycleclust.generate as generate
+    namespace = {}
+    exec("from cycleclust.generate import *", namespace)
+    assert set(generate.__all__) <= namespace.keys()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cycleclust.clustering import CycleClustering, objective
-from cycleclust.errors import TooLargeError
+from cycleclust.errors import InvalidClusterCountError, TooLargeError
 from cycleclust.generate.triangle import triangle_fixture
 from cycleclust.heuristics import (
     brute_force,
@@ -139,6 +139,13 @@ class TestBruteForce:
         for _ in range(40):
             c = CycleClustering(n=7, m=3, assignment=random_clustering(7, 3, rng))
             assert val.coherence_part >= objective(w, c, 0.001).coherence_part - 1e-12
+
+    @pytest.mark.parametrize("m", [0, 2, 5])
+    def test_cluster_count_outside_three_to_n_is_refused(self, m):
+        # m = 5 > n = 4 has no surjective labelling; m = 0 none at all
+        _, _, w = random_chain(4, 7)
+        with pytest.raises(InvalidClusterCountError):
+            brute_force(w, m, 0.001)
 
     def test_guard_rejects_large_instances(self):
         _, _, w = random_chain(30, 9, floor=0.2)
