@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, io
 from .bnb import NODE_SELECTIONS, SolverConfig, branch_and_bound
-from .clustering import objective
+from .clustering import DEFAULT_ALPHA, objective
 from .errors import (
     CycleClustError,
     DimensionMismatchError,
@@ -258,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t-final", type=_above(float), default=1.5)
     g.add_argument("--dt", type=_above(float), default=1e-3)
     g.add_argument("--graph", default=None)
-    g.add_argument("--alpha", type=_above(float), default=0.001)
+    g.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="compute an optimal cycle clustering")
     s.add_argument("matrix")
     s.add_argument("-m", type=int, required=True)
-    s.add_argument("--alpha", type=_above(float), default=0.001)
+    s.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
     s.add_argument("--out", default="solution")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--config", default=None)
@@ -283,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     o.add_argument("matrix")
     o.add_argument("-m", type=int, required=True)
-    o.add_argument("--alpha", type=_above(float), default=0.001)
+    o.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
     o.set_defaults(func=cmd_oracle)
 
     e = sub.add_parser("export-lp", help="write the model in LP text format")
     e.add_argument("matrix")
     e.add_argument("-m", type=int, required=True)
-    e.add_argument("--alpha", type=_above(float), default=0.001)
+    e.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
     e.add_argument("--out", default="model.lp")
     e.set_defaults(func=cmd_export_lp)
     return parser

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,12 @@ from .errors import DimensionMismatchError, InvalidClusteringError
 from .markov import FlowMatrix, coherence, net_flow
 
 DEFAULT_ALPHA = 0.001
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse a coherence weight that is not finite and positive."""
+    if not 0 < alpha < math.inf:  # also refuses NaN
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
 
 
 def successor(k: int, m: int) -> int:
@@ -77,8 +84,7 @@ def objective(W: FlowMatrix, c: CycleClustering, alpha: float = DEFAULT_ALPHA) -
     For m <= 2 the flow part is identically zero (the antisymmetric part of
     any 2x2 projection cancels around the cycle).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     if c.n != W.n:
         raise DimensionMismatchError(f"clustering has {c.n} bins, matrix {W.n}")
     groups = c.clusters()

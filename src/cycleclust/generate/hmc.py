@@ -8,6 +8,7 @@ cyclic order. This gives a metastable trajectory with rare directed hops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,10 @@ def hmc_with_drift(pot: Potential, x0, beta: float, n_steps: int,
     target starts at well 0 and advances only on accepted moves; the drift
     is zero while the last accepted position sits on the target.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:  # also refuses NaN
+        raise ValueError(f"beta must be finite and positive, got {beta!r}")
+    if not 0 <= drift_mag < math.inf:
+        raise ValueError(f"drift_mag must be finite and not negative, got {drift_mag!r}")
     if n_steps < 2:
         raise ValueError("need at least two steps")
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..clustering import DEFAULT_ALPHA, check_alpha
 from ..errors import (
     DimensionMismatchError,
     InvalidTerminalCountError,
@@ -72,7 +73,7 @@ class MultiwayCutInstance:
         return float(sum(w for _, _, w in self.edges))
 
 
-def multiway_cut_to_instance(mc: MultiwayCutInstance, alpha: float = 0.001):
+def multiway_cut_to_instance(mc: MultiwayCutInstance, alpha: float = DEFAULT_ALPHA):
     """Build (transition matrix, stationary vector, M) for the encoding.
 
     M = alpha * total edge weight + 1, strictly large enough that any
@@ -82,8 +83,7 @@ def multiway_cut_to_instance(mc: MultiwayCutInstance, alpha: float = 0.001):
     m = len(mc.terminals)
     if m < 3:
         raise InvalidTerminalCountError(m)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     n = mc.n_vertices
     big_m = alpha * mc.total_weight + 1.0
     q = np.zeros((n, n))

@@ -1,4 +1,8 @@
-"""Primal heuristics and the exhaustive oracle for cycle clusterings."""
+"""Primal heuristics and the exhaustive oracle for cycle clusterings.
+
+The heuristics share one gain formula, `_gains`; exchange and repair read
+it through `_move_gains`, the n x m table of single-bin moves.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .clustering import CycleClustering, objective
+from .clustering import DEFAULT_ALPHA, CycleClustering, check_alpha, objective
 from .errors import InvalidClusterCountError, InvalidClusteringError, TooLargeError
 from .markov import FlowMatrix
 
@@ -14,26 +18,31 @@ BRUTE_FORCE_GUARD = 10_000_000
 IMPROVE_EPS = 1e-12
 
 
-def _membership_matrix(assignment: np.ndarray, m: int) -> np.ndarray:
-    """m x n boolean matrix; row k flags the bins of cluster k+1."""
-    return assignment[None, :] == np.arange(1, m + 1)[:, None]
+def _gains(flow, coh, qdiag, alpha: float) -> np.ndarray:
+    """Objective gain of putting a bin in each cluster (the last axis), from
+    its net flow into and coherence with each cluster (`flow`, `coh`; other
+    bins only) and its self-loop `qdiag`."""
+    k = np.arange(flow.shape[-1])
+    # negative indices wrap: k + 1 - m is k's successor, k - 1 its predecessor
+    return flow[..., k + 1 - k.size] - flow[..., k - 1] + alpha * (qdiag + coh)
 
 
-def _placement_gains(q: np.ndarray, qt: np.ndarray, i: int, mask: np.ndarray,
-                     alpha: float, m: int) -> np.ndarray:
-    """Objective gain of placing bin i (array index) into each cluster.
+def _move_gains(d, s, assignment: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """n x m table: the objective change when bin i alone moves to cluster k.
 
-    `mask` must not contain bin i itself; already-placed bins only.
+    `d` and `s` are q - q.T and q + q.T. Zero in each bin's own cluster;
+    cluster sizes are not checked.
     """
-    diff = q[i, :] - qt[i, :]
-    s = mask @ diff
-    coh = mask @ (q[i, :] + qt[i, :])
-    phi = (np.arange(m) + 1) % m
-    phi_inv = (np.arange(m) - 1) % m
-    return s[phi] - s[phi_inv] + alpha * (q[i, i] + coh)
+    rows, own = np.arange(assignment.size), assignment - 1
+    members = assignment[:, None] == np.arange(1, m + 1)
+    flow, coh = d @ members, s @ members
+    loops = np.diag(s)  # twice each bin's self-loop
+    coh[rows, own] -= loops  # a bin's coherence with its own cluster leaves itself out
+    gains = _gains(flow, coh, loops[:, None] / 2, alpha)
+    return gains - gains[rows, own][:, None]
 
 
-def greedy_heuristic(W: FlowMatrix, m: int, alpha: float = 0.001) -> CycleClustering:
+def greedy_heuristic(W: FlowMatrix, m: int, alpha: float = DEFAULT_ALPHA) -> CycleClustering:
     """Construct a feasible clustering by best-gain insertion.
 
     Bin 1 seeds cluster 1; the remaining bins are placed in order of
@@ -41,53 +50,42 @@ def greedy_heuristic(W: FlowMatrix, m: int, alpha: float = 0.001) -> CycleCluste
     partial objective against the bins placed so far. Empty clusters are
     repaired afterwards by relocating the cheapest movable bin.
     """
+    check_alpha(alpha)
     n = W.n
     if m < 1 or m > n:
         raise InvalidClusteringError(f"need 1 <= m <= n, got m={m}, n={n}")
     q = W.entries
-    qt = q.T.copy()
-    mass = W.bin_mass
-    order = np.lexsort((np.arange(n), -mass))
+    d, s = q - q.T, q + q.T
+    order = np.lexsort((np.arange(n), -W.bin_mass))
     assignment = np.zeros(n, dtype=int)
     assignment[0] = 1
-    mask = np.zeros((m, n), dtype=bool)
-    mask[0, 0] = True
-    for i in order:
-        if i == 0:
-            continue
-        gains = _placement_gains(q, qt, int(i), mask, alpha, m)
-        k = int(np.argmax(gains))
+    # row k sums, for every bin, its net flow into and coherence with the
+    # bins placed in cluster k so far
+    flow, coh = np.zeros((m, n)), np.zeros((m, n))
+    flow[0], coh[0] = d[:, 0], s[:, 0]
+    for i in order[order != 0]:
+        k = int(np.argmax(_gains(flow[:, i], coh[:, i], q[i, i], alpha)))
         assignment[i] = k + 1
-        mask[k, i] = True
-    assignment = _repair_empty(q, qt, assignment, m, alpha)
+        flow[k] += d[:, i]
+        coh[k] += s[:, i]
+    assignment = _repair_empty(d, s, assignment, m, alpha)
     return CycleClustering(n=n, m=m, assignment=assignment)
 
 
-def _repair_empty(q: np.ndarray, qt: np.ndarray, assignment: np.ndarray,
-                  m: int, alpha: float) -> np.ndarray:
+def _repair_empty(d, s, assignment: np.ndarray, m: int, alpha: float) -> np.ndarray:
     """Move one bin into each empty cluster, losing as little as possible.
 
-    Bin 1 never moves; bins alone in their cluster never move.
+    Bin 1 never moves; bins alone in their cluster never move, so no move
+    empties a cluster. Of equal moves, the lowest bin's is taken.
     """
     assignment = assignment.copy()
-    n = assignment.size
-    for k in range(1, m + 1):
-        if np.any(assignment == k):
-            continue
-        sizes = np.bincount(assignment, minlength=m + 1)
-        best_bin, best_delta = -1, -np.inf
-        for i in range(1, n):
-            if sizes[assignment[i]] < 2:
-                continue
-            mask = _membership_matrix(assignment, m)
-            mask[:, i] = False
-            gains = _placement_gains(q, qt, i, mask, alpha, m)
-            delta = gains[k - 1] - gains[assignment[i] - 1]
-            if delta > best_delta:
-                best_bin, best_delta = i, delta
-        if best_bin < 0:
-            raise InvalidClusteringError(f"cannot repair empty cluster {k}")
-        assignment[best_bin] = k
+    for k in np.flatnonzero(np.bincount(assignment, minlength=m + 1)[1:] == 0):
+        movable = np.bincount(assignment, minlength=m + 1)[assignment] >= 2
+        movable[0] = False
+        if not movable.any():
+            raise InvalidClusteringError(f"cannot repair empty cluster {k + 1}")
+        column = np.where(movable, _move_gains(d, s, assignment, m, alpha)[:, k], -np.inf)
+        assignment[int(np.argmax(column))] = k + 1
     return assignment
 
 
@@ -102,54 +100,41 @@ def rounding_heuristic(mip, values: np.ndarray, W: FlowMatrix) -> CycleClusterin
     assignment = np.argmax(x, axis=1) + 1
     q = W.entries
     try:
-        assignment = _repair_empty(q, q.T.copy(), assignment, m, mip.alpha)
+        assignment = _repair_empty(q - q.T, q + q.T, assignment, m, mip.alpha)
     except InvalidClusteringError:
         return None
     return CycleClustering(n=n, m=m, assignment=assignment)
 
 
 def exchange_improvement(W: FlowMatrix, c: CycleClustering,
-                         alpha: float = 0.001) -> CycleClustering:
+                         alpha: float = DEFAULT_ALPHA) -> CycleClustering:
     """Steepest-ascent single-bin relocation until no move improves.
 
     Each step applies the best strictly improving move that keeps all
     clusters non-empty; the objective is non-decreasing and the search
     terminates because it strictly increases over a finite space.
     """
-    q = W.entries
-    qt = q.T.copy()
+    check_alpha(alpha)
     n, m = c.n, c.m
+    q = W.entries
+    d, s = q - q.T, q + q.T
     assignment = c.assignment.copy()
-    phi = (np.arange(m) + 1) % m
-    phi_inv = (np.arange(m) - 1) % m
     while True:
-        mask = _membership_matrix(assignment, m)
-        sizes = mask.sum(axis=1)
-        cur = assignment - 1
-        s_all = (q - qt) @ mask.T          # n x m
-        coh_all = (q + qt) @ mask.T        # n x m
-        qdiag = np.diag(q)
-        own = coh_all[np.arange(n), cur] - 2.0 * qdiag
-        coh_adj = coh_all.copy()
-        coh_adj[np.arange(n), cur] = own
-        gains = s_all[:, phi] - s_all[:, phi_inv] + alpha * (qdiag[:, None] + coh_adj)
-        delta = gains - gains[np.arange(n), cur][:, None]
-        delta[np.arange(n), cur] = -np.inf
-        movable = sizes[cur] >= 2
-        delta[~movable, :] = -np.inf
-        flat = int(np.argmax(delta))
-        b, t = divmod(flat, m)
+        delta = _move_gains(d, s, assignment, m, alpha)
+        delta[np.bincount(assignment, minlength=m + 1)[assignment] < 2] = -np.inf
+        b, t = divmod(int(np.argmax(delta)), m)
         if delta[b, t] <= IMPROVE_EPS:
             return CycleClustering(n=n, m=m, assignment=assignment)
         assignment[b] = t + 1
 
 
-def brute_force(W: FlowMatrix, m: int, alpha: float = 0.001):
+def brute_force(W: FlowMatrix, m: int, alpha: float = DEFAULT_ALPHA):
     """Exhaustive optimum over surjective assignments with bin 1 in cluster 1.
 
     Ties resolve to the lexicographically smallest assignment vector.
     Refuses m outside [3, n], and m**(n-1) above 10^7.
     """
+    check_alpha(alpha)
     n = W.n
     if m < 3 or m > n:
         raise InvalidClusterCountError(m, n)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .clustering import CycleClustering, objective
+from .clustering import CycleClustering, check_alpha, objective
 from .errors import (
     FileFormatError,
     FractionalSolutionError,
@@ -212,8 +212,7 @@ def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     n = W.n
     if m < 3 or m > n:
         raise InvalidClusterCountError(m, n)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     q = W.entries
     d = q - q.T
     epairs, cpairs = _pairs_for_model(q)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,11 @@ from cycleclust.clustering import (
     successor,
 )
 from cycleclust.errors import DimensionMismatchError, InvalidClusteringError
+from cycleclust.generate import MultiwayCutInstance, multiway_cut_to_instance
 from cycleclust.generate.triangle import triangle_fixture
+from cycleclust.heuristics import brute_force, exchange_improvement, greedy_heuristic
 from cycleclust.markov import FlowMatrix
+from cycleclust.mip import build_mip
 
 from util import loop_objective, random_chain, random_clustering
 
@@ -104,6 +109,27 @@ class TestObjective:
         c = CycleClustering(n=4, m=2, assignment=np.array([1, 2, 1, 2]))
         with pytest.raises(ValueError):
             objective(w, c, 0.0)
+
+
+ALPHA_ENTRY_POINTS = {
+    "objective": lambda w, c, mc, alpha: objective(w, c, alpha),
+    "build_mip": lambda w, c, mc, alpha: build_mip(w, 3, alpha),
+    "greedy_heuristic": lambda w, c, mc, alpha: greedy_heuristic(w, 3, alpha),
+    "exchange_improvement": lambda w, c, mc, alpha: exchange_improvement(w, c, alpha),
+    "brute_force": lambda w, c, mc, alpha: brute_force(w, 3, alpha),
+    "multiway_cut_to_instance": lambda w, c, mc, alpha: multiway_cut_to_instance(mc, alpha),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+def test_alpha_outside_finite_positive_is_refused(entry, alpha):
+    # a NaN alpha once sent the exchange search round forever
+    _, _, w = random_chain(5, 4)
+    c = CycleClustering(n=5, m=3, assignment=np.array([1, 2, 3, 1, 2]))
+    mc = MultiwayCutInstance(4, ((1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0)), (1, 2, 3))
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        ALPHA_ENTRY_POINTS[entry](w, c, mc, alpha)
 
 
 class TestCanonicalize:

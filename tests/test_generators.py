@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ class TestHmcSampler:
         b = hmc_with_drift(OMEGA3, OMEGA3.minima[0], beta=0.5, n_steps=500,
                            drift_mag=0.1, seed=5)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("beta, drift_mag", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1), (-1.0, 0.1),
+        (0.5, math.nan), (0.5, math.inf), (0.5, -0.5),
+    ])
+    def test_beta_outside_finite_positive_or_negative_drift_is_refused(self, beta, drift_mag):
+        # NaN once froze the walk, and an infinite drift divided inf by inf
+        with pytest.raises(ValueError, match="must be finite"):
+            hmc_with_drift(OMEGA3, OMEGA3.minima[0], beta=beta, n_steps=500,
+                           drift_mag=drift_mag, seed=1)
 
     def test_occupancy_covers_all_wells(self):
         """Regression-pinned occupancy of the acceptance-scale run."""

@@ -120,6 +120,64 @@ class TestExchange:
         assert final.total == pytest.approx(best.total, abs=1e-12)
         assert final.flow_part == pytest.approx(0.3 / 9.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_result_is_a_local_optimum(self, seed):
+        # judged by `objective` alone, independently of the gain code
+        rng = np.random.default_rng(700 + seed)
+        n, m = int(rng.integers(5, 12)), int(rng.integers(3, 5))
+        _, _, w = random_chain(n, 700 + seed)
+        start = CycleClustering(n=n, m=m, assignment=random_clustering(n, m, rng))
+        out = exchange_improvement(w, start, 0.001)
+        reached = objective(w, out, 0.001).total
+        sizes = np.bincount(out.assignment, minlength=m + 1)
+        for b in range(n):
+            if sizes[out.assignment[b]] < 2:
+                continue  # the move would empty a cluster
+            for t in range(1, m + 1):
+                moved = out.assignment.copy()
+                moved[b] = t
+                c = CycleClustering(n=n, m=m, assignment=moved)
+                assert objective(w, c, 0.001).total <= reached + 1e-12
+
+
+# What the heuristics chose on seeded chains when each computed its own
+# gains, kept so that any rewrite of the gain code makes the same choices:
+# (n, chain seed, m, greedy, rounding with every bin in cluster 1 and so
+# forced through repair, exchange from a start drawn with seed + m).
+CHOICES = [
+    (6, 1401, 3, [1, 1, 3, 2, 1, 2], [1, 1, 1, 2, 1, 3], [2, 2, 1, 3, 2, 3]),
+    (6, 1401, 4, [1, 1, 4, 2, 1, 3], [1, 1, 4, 2, 1, 3], [1, 1, 4, 2, 1, 3]),
+    (7, 1402, 3, [1, 2, 2, 3, 3, 1, 3], [1, 1, 1, 2, 1, 3, 1], [2, 1, 3, 2, 1, 3, 2]),
+    (7, 1402, 4, [1, 3, 2, 4, 4, 1, 4], [1, 1, 4, 2, 1, 3, 1], [2, 4, 3, 1, 3, 2, 1]),
+    (8, 1403, 3, [1, 3, 2, 1, 1, 3, 2, 2], [1, 2, 1, 1, 3, 1, 1, 1], [3, 3, 3, 1, 1, 3, 2, 2]),
+    (8, 1403, 4, [1, 4, 3, 1, 1, 4, 3, 2], [1, 2, 1, 1, 3, 1, 4, 1], [3, 2, 2, 4, 4, 3, 2, 1]),
+    (9, 1404, 3, [1, 2, 3, 1, 3, 3, 2, 3, 2], [1, 1, 3, 1, 1, 1, 2, 1, 1],
+     [3, 1, 2, 3, 1, 2, 1, 2, 1]),
+    (9, 1404, 4, [1, 2, 4, 1, 3, 4, 3, 3, 2], [1, 1, 3, 1, 1, 4, 2, 1, 1],
+     [1, 2, 4, 1, 3, 4, 3, 4, 2]),
+    (10, 1405, 3, [1, 3, 2, 3, 3, 2, 3, 1, 3, 1], [1, 2, 1, 3, 1, 1, 1, 1, 1, 1],
+     [2, 1, 3, 1, 1, 3, 2, 2, 1, 2]),
+    (10, 1405, 4, [1, 3, 1, 3, 3, 2, 4, 4, 3, 1], [1, 2, 1, 3, 1, 1, 4, 1, 1, 1],
+     [3, 1, 4, 2, 1, 4, 3, 2, 2, 3]),
+    (12, 1406, 3, [1, 3, 2, 2, 3, 2, 3, 2, 2, 1, 1, 3], [1, 2, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1],
+     [1, 2, 2, 3, 3, 1, 1, 1, 3, 3, 2, 2]),
+    (12, 1406, 4, [1, 2, 3, 3, 4, 2, 4, 4, 3, 2, 1, 2], [1, 2, 1, 1, 1, 1, 1, 1, 4, 3, 1, 1],
+     [2, 3, 4, 4, 1, 2, 2, 1, 4, 4, 3, 3]),
+]
+
+
+@pytest.mark.parametrize("n, seed, m, greedy, repaired, exchanged", CHOICES)
+def test_heuristics_keep_their_choices(n, seed, m, greedy, repaired, exchanged):
+    _, _, w = random_chain(n, seed)
+    assert greedy_heuristic(w, m, 0.001).assignment.tolist() == greedy
+    mip = build_mip(w, m, 0.001)
+    values = np.zeros(mip.ncols)
+    values[: n * m].reshape(n, m)[:, 0] = 1.0
+    assert rounding_heuristic(mip, values, w).assignment.tolist() == repaired
+    rng = np.random.default_rng(seed + m)
+    start = CycleClustering(n=n, m=m, assignment=random_clustering(n, m, rng))
+    assert exchange_improvement(w, start, 0.001).assignment.tolist() == exchanged
+
 
 class TestBruteForce:
     def test_three_bin_case_has_two_candidates(self):
