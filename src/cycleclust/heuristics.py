@@ -11,7 +11,12 @@ import itertools
 import numpy as np
 
 from .clustering import DEFAULT_ALPHA, CycleClustering, check_alpha, objective
-from .errors import InvalidClusterCountError, InvalidClusteringError, TooLargeError
+from .errors import (
+    DimensionMismatchError,
+    InvalidClusterCountError,
+    InvalidClusteringError,
+    TooLargeError,
+)
 from .markov import FlowMatrix
 
 BRUTE_FORCE_GUARD = 10_000_000
@@ -115,6 +120,8 @@ def exchange_improvement(W: FlowMatrix, c: CycleClustering,
     terminates because it strictly increases over a finite space.
     """
     check_alpha(alpha)
+    if c.n != W.n:
+        raise DimensionMismatchError(f"clustering has {c.n} bins, matrix {W.n}")
     n, m = c.n, c.m
     q = W.entries
     d, s = q - q.T, q + q.T

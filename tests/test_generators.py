@@ -19,8 +19,10 @@ from cycleclust.generate import (
     select_bin_centers,
 )
 from cycleclust.generate.binning import _distinct_rows
-from cycleclust.generate.hmc import CAPTURE_RADIUS, PROPOSAL_STD, Trajectory
+from cycleclust.generate.hmc import BLOCK_STEPS, CAPTURE_RADIUS, PROPOSAL_STD, Trajectory
 from cycleclust.markov import validate_stochastic
+
+import hmc_oracle
 
 
 class TestPotentials:
@@ -48,9 +50,27 @@ class TestPotentials:
         assert len(OMEGA4.minima) == 4
         assert len(OMEGA6.minima) == 6
 
+    @pytest.mark.parametrize("pot", [OMEGA3, OMEGA4, OMEGA6, FLAT], ids=lambda p: p.kind)
+    def test_energy_is_the_formulas_bit_for_bit(self, pot):
+        formula = hmc_oracle.FORMULAS[pot.kind]
+        points = np.random.default_rng(0).normal(0.0, 2.0, size=(20_000, 2))
+        points[:3] = (0.0, 0.0), (0.0, 1.0), (-40.0, 30.0)  # centres; every exp underflows
+        assert np.array_equal(pot.energy(points), hmc_oracle.energy(formula, points))
+        grid = points[:120].reshape(4, 30, 2)
+        assert np.array_equal(pot.energy(grid), hmc_oracle.energy(formula, grid))
+        one = pot.energy(points[7])
+        assert np.ndim(one) == 0 and one == hmc_oracle.energy(formula, points[7])
+
+    @pytest.mark.parametrize("pot", [OMEGA3, OMEGA4, OMEGA6, FLAT], ids=lambda p: p.kind)
+    def test_scalar_energies_are_the_array_energies_bit_for_bit(self, pot):
+        # the sampler's path: Python floats, one np.exp over the exponents
+        points = np.random.default_rng(1).normal(0.0, 2.0, size=(20_000, 2))
+        scalar = [pot.total(np.exp(pot.exponents(x, y)).tolist()) for x, y in points.tolist()]
+        assert np.array_equal(scalar, pot.energy(points))
+
 
 # OMEGA3's wells on a zero-energy landscape: every proposal is accepted
-FLAT3 = Potential("flat3", FLAT.evaluator, OMEGA3.minima)
+FLAT3 = Potential("flat3", FLAT.terms, OMEGA3.minima)
 WELLS = np.array(OMEGA3.minima)
 
 
@@ -153,6 +173,58 @@ class TestHmcSampler:
         with pytest.raises(ValueError, match="must be finite"):
             hmc_with_drift(OMEGA3, OMEGA3.minima[0], beta=beta, n_steps=500,
                            drift_mag=drift_mag, seed=1)
+
+    @pytest.mark.parametrize("x0", [
+        5.0, (1.0,), (1.0, 2.0, 3.0), [[0.0, 0.0]], (math.nan, 0.0), (0.0, math.inf),
+        ("a", "b"), None,
+    ])
+    def test_start_that_is_not_two_finite_numbers_is_refused(self, x0):
+        # a scalar 5.0 used to broadcast into a (5, 5) start, and a NaN one
+        # gave an all-NaN trajectory
+        with pytest.raises(ValueError, match="x0 must be two finite numbers"):
+            hmc_with_drift(OMEGA3, x0, beta=0.5, n_steps=50, drift_mag=0.1, seed=1)
+
+    @pytest.mark.parametrize("n_steps", [10.5, 10.0, "10", 1, 0, -3])
+    def test_step_count_that_is_not_an_integer_of_two_or_more_is_refused(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer of at least 2"):
+            hmc_with_drift(OMEGA3, OMEGA3.minima[0], beta=0.5, n_steps=n_steps,
+                           drift_mag=0.1, seed=1)
+
+    def test_numpy_integer_steps_and_integer_start_are_accepted(self):
+        a = hmc_with_drift(OMEGA3, (0, 0), beta=0.5, n_steps=np.int64(40),
+                           drift_mag=0.1, seed=1)
+        b = hmc_with_drift(OMEGA3, (0.0, 0.0), beta=0.5, n_steps=40,
+                           drift_mag=0.1, seed=1)
+        assert a.points.shape == (40, 2)
+        assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("pot", [OMEGA3, OMEGA4, OMEGA6], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("drift_mag", [0, 0.1, 0.5, 2])
+    def test_trajectories_are_the_reference_samplers_bit_for_bit(self, pot, drift_mag):
+        formula = hmc_oracle.FORMULAS[pot.kind]
+        for beta in (0.1, 0.5, 3):
+            for x0 in (pot.minima[0], (0.0, 0.0), (2.5, -1.0)):
+                got = hmc_with_drift(pot, x0, beta=beta, n_steps=300,
+                                     drift_mag=drift_mag, seed=17).points
+                want = hmc_oracle.hmc_with_drift(formula, pot.minima, x0, beta=beta,
+                                                 n_steps=300, drift_mag=drift_mag, seed=17)
+                assert np.array_equal(got, want), (beta, x0)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (beta, x0)
+
+    @pytest.mark.parametrize("n_steps", [BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3])
+    def test_trajectories_across_blocks_are_the_reference_samplers(self, n_steps):
+        got = hmc_with_drift(OMEGA4, (0.0, 0.0), beta=0.5, n_steps=n_steps,
+                             drift_mag=0.5, seed=23).points
+        want = hmc_oracle.hmc_with_drift(hmc_oracle.omega4, OMEGA4.minima, (0.0, 0.0),
+                                         beta=0.5, n_steps=n_steps, drift_mag=0.5, seed=23)
+        assert np.array_equal(got, want)
+
+    def test_flat_trajectory_is_the_reference_samplers_bit_for_bit(self):
+        got = hmc_with_drift(FLAT3, (3.0, -2.0), beta=1.0, n_steps=300,
+                             drift_mag=0.17, seed=11).points
+        want = hmc_oracle.hmc_with_drift(hmc_oracle.flat, FLAT3.minima, (3.0, -2.0),
+                                         beta=1.0, n_steps=300, drift_mag=0.17, seed=11)
+        assert np.array_equal(got, want)
 
     def test_occupancy_covers_all_wells(self):
         """Regression-pinned occupancy of the acceptance-scale run."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cycleclust.clustering import CycleClustering, objective
-from cycleclust.errors import InvalidClusterCountError, TooLargeError
+from cycleclust.errors import DimensionMismatchError, InvalidClusterCountError, TooLargeError
 from cycleclust.generate.triangle import triangle_fixture
 from cycleclust.heuristics import (
     brute_force,
@@ -119,6 +119,16 @@ class TestExchange:
         # from this start the climb reaches the global optimum
         assert final.total == pytest.approx(best.total, abs=1e-12)
         assert final.flow_part == pytest.approx(0.3 / 9.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_clustering_of_another_size_is_refused(self, n):
+        # as `objective` refuses it; numpy's matmul used to raise ValueError
+        _, _, w = random_chain(6, 5)
+        c = CycleClustering(n=n, m=3, assignment=np.arange(n) % 3 + 1)
+        with pytest.raises(DimensionMismatchError, match=f"clustering has {n} bins, matrix 6"):
+            exchange_improvement(w, c, 0.001)
+        with pytest.raises(DimensionMismatchError, match=f"clustering has {n} bins, matrix 6"):
+            objective(w, c, 0.001)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_result_is_a_local_optimum(self, seed):
