@@ -24,10 +24,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .clustering import CycleClustering, canonicalize, objective, reflect
+from .clustering import CycleClustering, ObjectiveValue, canonicalize, objective, reflect
 from .errors import NumericalFailureError
 from .heuristics import exchange_improvement, greedy_heuristic, rounding_heuristic
-from .markov import FlowMatrix, project
+from .markov import FlowMatrix, ProjectedMatrix, project
 from .mip import MipInstance, clustering_from_solution, solution_values
 from .simplex import AT_LB, AT_UB, BASIC, SimplexEngine, StandardLp, _apply_overrides
 
@@ -136,20 +136,21 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
     trace: list = []
     nodes_processed = 0
 
-    def admissible(c: CycleClustering) -> bool:
-        """The model keeps every consecutive net flow nonnegative; only
-        clusterings satisfying that may prune the tree. For m = 3 one of a
-        clustering and its reflection always qualifies."""
-        d = project(W, c).delta()
-        idx = np.arange(m)
-        return bool(np.all(d[idx, (idx + 1) % m] >= -1e-12))
+    # the reflection's cluster k + 1 holds this clustering's cluster flip[k] + 1
+    flip = np.r_[0, m - 1:0:-1]
 
     def better(c: CycleClustering) -> None:
+        """Offer `c` and its reflection, each read off one projection. The
+        model keeps every consecutive net flow nonnegative; only clusterings
+        satisfying that may prune the tree. For m = 3 one of a clustering
+        and its reflection always qualifies."""
         nonlocal incumbent, primal
-        for cand in (c, reflect(c)):
-            if not admissible(cand):
+        p = project(W, c)
+        reflected = ProjectedMatrix(p.entries[np.ix_(flip, flip)])
+        for cand, proj in ((c, p), (reflect(c), reflected)):
+            if not all(f >= -1e-12 for f in proj.cycle_flows()):
                 continue
-            val = objective(W, cand, alpha).total
+            val = ObjectiveValue.of(proj, alpha).total
             if val > primal + 1e-15:
                 incumbent = canonicalize(cand)
                 primal = val

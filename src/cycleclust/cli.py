@@ -10,11 +10,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, io
 from .bnb import NODE_SELECTIONS, SolverConfig, branch_and_bound
-from .clustering import DEFAULT_ALPHA, objective
+from .clustering import DEFAULT_ALPHA, ObjectiveValue, objective
 from .errors import (
     CycleClustError,
     DimensionMismatchError,
@@ -37,7 +35,7 @@ from .generate import (
 )
 from .generate.repressilator import STATE_LABELS
 from .heuristics import brute_force
-from .markov import FlowMatrix, TransitionMatrix, flow_matrix, project, stationary_distribution
+from .markov import TransitionMatrix, flow_matrix, project, stationary_distribution
 from .mip import build_mip, export_model
 
 USAGE_ERRORS = (
@@ -167,21 +165,21 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     weights, _ = _load_weights(args.matrix)
     clustering, alpha, stored = io.read_clustering(args.clustering)
-    value = objective(weights, clustering, alpha)
+    projected = project(weights, clustering)
+    value = ObjectiveValue.of(projected, alpha)
     deltas = {
         "total": abs(value.total - stored["total"]),
         "flow": abs(value.flow_part - stored["flow"]),
         "coherence": abs(value.coherence_part - stored["coherence"]),
     }
-    projected = project(weights, clustering)
     delta = projected.delta()
     print("projected antisymmetric part:")
     for row in delta:
         print("  " + " ".join(f"{v: .9f}" for v in row))
     if clustering.m == 3:
-        eps = float(delta[0, 1] + delta[1, 2] + delta[2, 0]) / 3.0
-        residual = max(abs(delta[0, 1] - eps), abs(delta[1, 2] - eps),
-                       abs(delta[2, 0] - eps))
+        flows = projected.cycle_flows()
+        eps = (flows[0] + flows[1] + flows[2]) / 3.0
+        residual = max(abs(f - eps) for f in flows)
         print(f"epsilon = {eps!r} (structure residual {residual:.3e})")
     ok = all(v <= 1e-6 for v in deltas.values())
     if ok:
@@ -214,26 +212,18 @@ def cmd_export_lp(args) -> int:
     return 0
 
 
-def _limit(kind):
-    """argparse type: a `kind` number that is finite and not negative."""
+def _number(kind, above=None):
+    """argparse type: a `kind` number that is finite and greater than
+    `above`, or with no `above`, not negative."""
+    what = "not negative" if above is None else "positive" if above == 0 else f"above {above}"
+
     def parse(text: str):
         value = kind(text)
-        if not 0 <= value < math.inf:  # also refuses NaN
-            raise argparse.ArgumentTypeError(f"must be finite and not negative, got {text!r}")
-        return value
-    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
-    return parse
-
-
-def _above(kind, floor=0):
-    """argparse type: a `kind` number that is finite and above `floor`."""
-    def parse(text: str):
-        value = kind(text)
-        if not floor < value < math.inf:  # also refuses NaN
-            what = "positive" if floor == 0 else f"above {floor}"
+        # both comparisons also refuse NaN
+        if not (value >= 0 if above is None else value > above) or not value < math.inf:
             raise argparse.ArgumentTypeError(f"must be finite and {what}, got {text!r}")
         return value
-    parse.__name__ = kind.__name__
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse
 
 
@@ -248,29 +238,29 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("kind", choices=["omega3", "omega4", "omega6",
                                     "repressilator", "triangle", "multiway-cut"])
     g.add_argument("--out", default="instance")
-    g.add_argument("--seed", type=_limit(int), default=0)
-    g.add_argument("--drift", type=_limit(float), default=0.1)
-    g.add_argument("--beta", type=_above(float), default=DEFAULT_BETA)
-    g.add_argument("--steps", type=_above(int, 1), default=DEFAULT_STEPS)
-    g.add_argument("--bins", type=_above(int), default=DEFAULT_BINS)
-    g.add_argument("--lag", type=_above(int), default=1)
-    g.add_argument("--count", type=_above(int), default=200)
-    g.add_argument("--t-final", type=_above(float), default=1.5)
-    g.add_argument("--dt", type=_above(float), default=1e-3)
+    g.add_argument("--seed", type=_number(int), default=0)
+    g.add_argument("--drift", type=_number(float), default=0.1)
+    g.add_argument("--beta", type=_number(float, above=0), default=DEFAULT_BETA)
+    g.add_argument("--steps", type=_number(int, above=1), default=DEFAULT_STEPS)
+    g.add_argument("--bins", type=_number(int, above=0), default=DEFAULT_BINS)
+    g.add_argument("--lag", type=_number(int, above=0), default=1)
+    g.add_argument("--count", type=_number(int, above=0), default=200)
+    g.add_argument("--t-final", type=_number(float, above=0), default=1.5)
+    g.add_argument("--dt", type=_number(float, above=0), default=1e-3)
     g.add_argument("--graph", default=None)
-    g.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
+    g.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="compute an optimal cycle clustering")
     s.add_argument("matrix")
     s.add_argument("-m", type=int, required=True)
-    s.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
+    s.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
     s.add_argument("--out", default="solution")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--config", default=None)
-    s.add_argument("--time-limit", type=_limit(float), default=None)
-    s.add_argument("--gap-tol", type=_limit(float), default=None)
-    s.add_argument("--node-limit", type=_limit(int), default=None)
+    s.add_argument("--time-limit", type=_number(float), default=None)
+    s.add_argument("--gap-tol", type=_number(float), default=None)
+    s.add_argument("--node-limit", type=_number(int), default=None)
     s.add_argument("--node-selection", choices=NODE_SELECTIONS, default=None)
     s.add_argument("--emit-lp", action="store_true")
     s.set_defaults(func=cmd_solve)
@@ -283,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     o.add_argument("matrix")
     o.add_argument("-m", type=int, required=True)
-    o.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
+    o.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
     o.set_defaults(func=cmd_oracle)
 
     e = sub.add_parser("export-lp", help="write the model in LP text format")
     e.add_argument("matrix")
     e.add_argument("-m", type=int, required=True)
-    e.add_argument("--alpha", type=_above(float), default=DEFAULT_ALPHA)
+    e.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
     e.add_argument("--out", default="model.lp")
     e.set_defaults(func=cmd_export_lp)
     return parser

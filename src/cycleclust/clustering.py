@@ -1,4 +1,5 @@
-"""Cycle clusterings and the weighted net-flow/coherence objective."""
+"""Cycle clusterings and the weighted net-flow/coherence objective, read off
+the clustering's `ProjectedMatrix`, whose methods hold the cycle formula."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidClusteringError
-from .markov import FlowMatrix, coherence, net_flow
+from .errors import InvalidClusteringError
+from .markov import FlowMatrix, ProjectedMatrix, project
 
 DEFAULT_ALPHA = 0.001
 
@@ -22,10 +23,6 @@ def check_alpha(alpha: float) -> None:
 def successor(k: int, m: int) -> int:
     """Next cluster in cyclic order; 1-based, wrapping m -> 1."""
     return k % m + 1
-
-
-def predecessor(k: int, m: int) -> int:
-    return (k - 2) % m + 1
 
 
 @dataclass(frozen=True)
@@ -57,11 +54,6 @@ class CycleClustering:
             empty = int(np.nonzero(present == 0)[0][0]) + 1
             raise InvalidClusteringError(f"cluster {empty} is empty")
 
-    @classmethod
-    def from_labels(cls, labels, m: int | None = None) -> "CycleClustering":
-        a = np.asarray(labels, dtype=int)
-        return cls(n=a.size, m=int(a.max()) if m is None else m, assignment=a)
-
     def members(self, k: int) -> np.ndarray:
         """1-based bins of cluster k, ascending."""
         return np.nonzero(self.assignment == k)[0] + 1
@@ -77,6 +69,12 @@ class ObjectiveValue:
     coherence_part: float
     alpha: float
 
+    @classmethod
+    def of(cls, p: ProjectedMatrix, alpha: float) -> "ObjectiveValue":
+        """Value of the clustering that `p` is the projection onto."""
+        flow, coh = p.cycle_flow(), p.coherence()
+        return cls(total=flow + alpha * coh, flow_part=flow, coherence_part=coh, alpha=alpha)
+
 
 def objective(W: FlowMatrix, c: CycleClustering, alpha: float = DEFAULT_ALPHA) -> ObjectiveValue:
     """Total net flow around the cycle plus alpha-weighted coherence.
@@ -85,19 +83,7 @@ def objective(W: FlowMatrix, c: CycleClustering, alpha: float = DEFAULT_ALPHA) -
     any 2x2 projection cancels around the cycle).
     """
     check_alpha(alpha)
-    if c.n != W.n:
-        raise DimensionMismatchError(f"clustering has {c.n} bins, matrix {W.n}")
-    groups = c.clusters()
-    coh = 0.0
-    for g in groups:
-        coh += coherence(W, g)
-    flow = 0.0
-    if c.m >= 3:
-        for k in range(1, c.m + 1):
-            flow += net_flow(W, groups[k - 1], groups[successor(k, c.m) - 1])
-    return ObjectiveValue(
-        total=flow + alpha * coh, flow_part=flow, coherence_part=coh, alpha=alpha
-    )
+    return ObjectiveValue.of(project(W, c), alpha)
 
 
 def canonicalize(c: CycleClustering) -> CycleClustering:

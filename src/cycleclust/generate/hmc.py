@@ -60,10 +60,12 @@ def hmc_with_drift(pot: Potential, x0, beta: float, n_steps: int,
         start = None
     if start is None or start.shape != (2,) or not np.isfinite(start).all():
         raise ValueError(f"x0 must be two finite numbers, got {x0!r}")
+    wells = np.asarray(pot.minima, dtype=float).tolist()
+    if not wells:
+        raise ValueError(f"potential {pot.kind!r} has no wells for the drift to aim at")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, PROPOSAL_STD, size=(n_steps, 2))
     uniforms = rng.uniform(0.0, 1.0, size=n_steps)
-    wells = np.asarray(pot.minima, dtype=float).tolist()
     exponents, total = pot.exponents, pot.total
     pair = np.empty(2)
 

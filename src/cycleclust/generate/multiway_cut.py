@@ -20,7 +20,7 @@ from ..errors import (
     InvalidTerminalCountError,
     IsolatedNonTerminalError,
 )
-from ..markov import StationaryDistribution, _frozen, validate_stochastic
+from ..markov import StationaryDistribution, validate_stochastic
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def multiway_cut_to_instance(mc: MultiwayCutInstance, alpha: float = DEFAULT_ALP
         q[t - 1, succ - 1] += big_m
     row_sums = q.sum(axis=1)
     p = validate_stochastic(q / row_sums[:, None])
-    pi = StationaryDistribution(_frozen(row_sums / row_sums.sum()))
+    pi = StationaryDistribution(row_sums / row_sums.sum())
     return p, pi, big_m
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..markov import FlowMatrix, _frozen
+from ..markov import FlowMatrix
 
 DENOMINATOR = 180
 FORWARD = 3    # 0.15/9, hub cycle 1 -> 2 -> 3 -> 1
@@ -37,4 +37,4 @@ def triangle_numerators() -> np.ndarray:
 
 
 def triangle_fixture() -> FlowMatrix:
-    return FlowMatrix(_frozen(triangle_numerators() / float(DENOMINATOR)))
+    return FlowMatrix(triangle_numerators() / float(DENOMINATOR))

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import HeuristicsConfig, SolveResult, SolverConfig
-from .clustering import CycleClustering, ObjectiveValue
+from .clustering import CycleClustering, ObjectiveValue, check_alpha
 from .errors import FileFormatError
 from .generate.multiway_cut import MultiwayCutInstance
-from .markov import FlowMatrix, TransitionMatrix, _frozen, validate_stochastic
+from .markov import FlowMatrix, TransitionMatrix
 
 
 def _format_rows(entries: np.ndarray) -> list[str]:
@@ -53,9 +53,35 @@ def _read_json_object(path) -> dict:
     return doc
 
 
-def _read_matrix_body(lines, n, path):
-    """The n rows after the header; anything but blank lines after them is
-    a format error."""
+def read_transition_matrix(path) -> TransitionMatrix:
+    return _read_matrix(path, TransitionMatrix)
+
+
+def read_flow_matrix(path) -> FlowMatrix:
+    return _read_matrix(path, FlowMatrix)
+
+
+def read_matrix(path):
+    """Dispatch on the header token; returns TransitionMatrix or FlowMatrix."""
+    return _read_matrix(path)
+
+
+def _read_matrix(path, cls=None):
+    """A `cls` matrix from a header line, the bin count n (after the tag FM
+    in fm-v1), and n rows of n numbers; anything but blank lines after them
+    is a format error. With no `cls`, the header's tag picks it."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise FileFormatError(f"{path}: empty file")
+    if cls is None:
+        cls = FlowMatrix if lines[0].startswith("FM") else TransitionMatrix
+    tag, want = ((["FM"], "'FM <n>' header") if cls is FlowMatrix
+                 else ([], "a plain bin count header"))
+    header = lines[0].split()
+    # isdecimal, not isdigit: int() refuses digits such as a superscript two
+    if not header or header[:-1] != tag or not header[-1].isdecimal():
+        raise FileFormatError(f"{path}: expected {want}, got {lines[0]!r}")
+    n = int(header[-1])
     if len(lines) < n + 1:
         raise FileFormatError(f"{path}: expected {n} matrix rows")
     rows = []
@@ -67,45 +93,7 @@ def _read_matrix_body(lines, n, path):
     for k in range(n + 1, len(lines)):
         if lines[k].strip():
             raise FileFormatError(f"{path}: line {k + 1}: content after the {n} matrix rows")
-    return np.array(rows, dtype=float)
-
-
-def read_transition_matrix(path) -> TransitionMatrix:
-    return _transition_matrix(Path(path).read_text().splitlines(), path)
-
-
-def _transition_matrix(lines, path) -> TransitionMatrix:
-    if not lines:
-        raise FileFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 1 or not header[0].isdigit():
-        raise FileFormatError(
-            f"{path}: expected a plain bin count header, got {lines[0]!r}"
-        )
-    n = int(header[0])
-    return validate_stochastic(_read_matrix_body(lines, n, path))
-
-
-def read_flow_matrix(path) -> FlowMatrix:
-    return _flow_matrix(Path(path).read_text().splitlines(), path)
-
-
-def _flow_matrix(lines, path) -> FlowMatrix:
-    if not lines:
-        raise FileFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "FM" or not header[1].isdigit():
-        raise FileFormatError(f"{path}: expected 'FM <n>' header, got {lines[0]!r}")
-    n = int(header[1])
-    return FlowMatrix(_frozen(_read_matrix_body(lines, n, path)))
-
-
-def read_matrix(path):
-    """Dispatch on the header token; returns TransitionMatrix or FlowMatrix."""
-    lines = Path(path).read_text().splitlines()
-    if lines and lines[0].startswith("FM"):
-        return _flow_matrix(lines, path)
-    return _transition_matrix(lines, path)
+    return cls(np.array(rows, dtype=float))
 
 
 def write_clustering(path, c: CycleClustering, value: ObjectiveValue) -> None:
@@ -135,13 +123,12 @@ def read_clustering(path):
                 raise TypeError(f"{key} must be an integer, got {value!r}")
         c = CycleClustering(n=n, m=m, assignment=np.array(labels, dtype=int))
         alpha = float(doc["alpha"])
+        check_alpha(alpha)
         stored = {key: float(doc["objective"][key]) for key in ("total", "flow", "coherence")}
     except KeyError as exc:
         raise FileFormatError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed clustering: {exc}") from exc
-    if not 0 < alpha < math.inf:  # also refuses NaN
-        raise FileFormatError(f"{path}: alpha must be finite and positive, got {alpha!r}")
     return c, alpha, stored
 
 

@@ -1,5 +1,8 @@
 """Transition-matrix algebra: validation, stationary vectors, flows, coherence.
 
+The matrix types check their input and keep a read-only float copy of it.
+`ProjectedMatrix` holds the cycle formula that `clustering.objective` reads.
+
 All bin labels on the public API are 1-based, matching the file formats and
 the clustering conventions; array indices are internal.
 """
@@ -28,17 +31,46 @@ TOTAL_MASS_TOL = 1e-8
 _SECOND_START_SEED = 7151  # fixed alternate start for the uniqueness probe
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of `a`."""
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
 
+def _square_nonnegative(raw, name: str) -> np.ndarray:
+    """A read-only float copy of `raw`, which must be a square, non-empty,
+    finite and nonnegative matrix; `name` names it in the errors."""
+    a = _frozen(raw)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatchError(f"expected a square {name}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteEntryError(f"{name} has non-finite entries")
+    neg = np.argwhere(a < 0)
+    if neg.size:
+        i, j = neg[0]
+        raise NegativeEntryError(int(i), int(j), float(a[i, j]))
+    return a
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Right-stochastic matrix of conditional transition probabilities."""
+    """Right-stochastic matrix of conditional transition probabilities.
+
+    Never renormalizes: a row whose sum is off 1 by more than ROW_SUM_TOL is
+    an error.
+    """
 
     entries: np.ndarray
+
+    def __post_init__(self):
+        a = _square_nonnegative(self.entries, "matrix")
+        sums = a.sum(axis=1)
+        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise RowSumViolationError(i, float(sums[i]))
+        object.__setattr__(self, "entries", a)
 
     @property
     def n(self) -> int:
@@ -50,6 +82,9 @@ class StationaryDistribution:
     """Probability vector fixed under the left action of its chain."""
 
     pi: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "pi", _frozen(self.pi))
 
     @property
     def n(self) -> int:
@@ -68,21 +103,14 @@ class FlowMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = self.entries
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError(f"flow matrix must be square, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteEntryError("flow matrix has non-finite entries")
-        neg = np.argwhere(a < 0)
-        if neg.size:
-            i, j = neg[0]
-            raise NegativeEntryError(int(i), int(j), float(a[i, j]))
+        a = _square_nonnegative(self.entries, "flow matrix")
         rows = a.sum(axis=1)
         cols = a.sum(axis=0)
         gap = np.abs(rows - cols)
         worst = int(np.argmax(gap))
         if gap[worst] > BALANCE_TOL:
             raise BalanceViolationError(worst, float(rows[worst]), float(cols[worst]))
+        object.__setattr__(self, "entries", a)
 
     @property
     def n(self) -> int:
@@ -100,9 +128,17 @@ class FlowMatrix:
 
 @dataclass(frozen=True)
 class ProjectedMatrix:
-    """Cluster-aggregated unconditional probabilities."""
+    """Cluster-aggregated unconditional probabilities, in cyclic cluster
+    order: entry (k, l) is the mass flowing from cluster k + 1 to l + 1.
+
+    The paper's objective is read off here: the net flow around the cycle
+    and the coherence, each summed in cluster order with Python floats.
+    """
 
     entries: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _frozen(self.entries))
 
     @property
     def m(self) -> int:
@@ -112,27 +148,31 @@ class ProjectedMatrix:
         """Antisymmetric part; off-diagonal entries are pairwise net flows."""
         return self.entries - self.entries.T
 
+    def cycle_flows(self) -> list[float]:
+        """Net flow from each cluster into its successor, the last cluster's
+        into the first."""
+        p = self.entries.tolist()
+        m = self.m
+        return [p[k][(k + 1) % m] - p[(k + 1) % m][k] for k in range(m)]
+
+    def cycle_flow(self) -> float:
+        """The cycle flows summed; exactly zero for m <= 2, where they cancel."""
+        flow = 0.0
+        for f in self.cycle_flows():
+            flow += f
+        return flow
+
+    def coherence(self) -> float:
+        """Mass that stays inside its cluster: the diagonal summed."""
+        coh = 0.0
+        for k in range(self.m):
+            coh += float(self.entries[k, k])
+        return coh
+
 
 def validate_stochastic(raw) -> TransitionMatrix:
-    """Check that `raw` is square, finite, nonnegative and row-stochastic.
-
-    Never renormalizes: rows off by more than 1e-9 are an error.
-    """
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteEntryError("matrix has non-finite entries")
-    neg = np.argwhere(a < 0)
-    if neg.size:
-        i, j = neg[0]
-        raise NegativeEntryError(int(i), int(j), float(a[i, j]))
-    sums = a.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise RowSumViolationError(i, float(sums[i]))
-    return TransitionMatrix(_frozen(a))
+    """`TransitionMatrix(raw)`: a checked, read-only copy of `raw`."""
+    return TransitionMatrix(raw)
 
 
 def _power_iterate(a: np.ndarray, v: np.ndarray, tol: float, max_iter: int):
@@ -178,7 +218,7 @@ def stationary_distribution(P: TransitionMatrix, tol: float = 1e-10,
     diff = float(np.max(np.abs(first - second)))
     if diff > 100.0 * tol:
         raise NonUniqueStationaryError(diff)
-    return StationaryDistribution(_frozen(first))
+    return StationaryDistribution(first)
 
 
 def flow_matrix(P: TransitionMatrix, pi: StationaryDistribution) -> FlowMatrix:
@@ -188,7 +228,7 @@ def flow_matrix(P: TransitionMatrix, pi: StationaryDistribution) -> FlowMatrix:
             f"stationary vector has length {pi.n}, matrix is {P.n}x{P.n}"
         )
     w = pi.pi[:, None] * P.entries
-    fm = FlowMatrix(_frozen(w))
+    fm = FlowMatrix(w)
     if abs(fm.total_mass - 1.0) > TOTAL_MASS_TOL:
         raise BalanceViolationError(-1, fm.total_mass, 1.0)
     return fm
@@ -211,8 +251,6 @@ def net_flow(W: FlowMatrix, bins_a, bins_b) -> float:
     common = set((a + 1).tolist()) & set((b + 1).tolist())
     if common:
         raise OverlappingSetsError(common)
-    if a.size == 0 or b.size == 0:
-        return 0.0
     forward = W.entries[np.ix_(a, b)].sum()
     backward = W.entries[np.ix_(b, a)].sum()
     return float(forward - backward)
@@ -221,8 +259,6 @@ def net_flow(W: FlowMatrix, bins_a, bins_b) -> float:
 def coherence(W: FlowMatrix, bins_a) -> float:
     """Unconditional probability of staying inside the set."""
     a = _label_indices(W.n, bins_a)
-    if a.size == 0:
-        return 0.0
     return float(W.entries[np.ix_(a, a)].sum())
 
 
@@ -233,13 +269,6 @@ def project(W: FlowMatrix, clustering) -> ProjectedMatrix:
     so diagonal entries agree with `coherence` bit for bit.
     """
     if clustering.n != W.n:
-        raise DimensionMismatchError(
-            f"clustering covers {clustering.n} bins, matrix has {W.n}"
-        )
-    m = clustering.m
-    groups = [np.asarray(clustering.members(k), dtype=int) - 1 for k in range(1, m + 1)]
-    out = np.empty((m, m), dtype=float)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = W.entries[np.ix_(groups[i], groups[j])].sum()
-    return ProjectedMatrix(_frozen(out))
+        raise DimensionMismatchError(f"clustering has {clustering.n} bins, matrix {W.n}")
+    groups = [g - 1 for g in clustering.clusters()]
+    return ProjectedMatrix([[W.entries[np.ix_(a, b)].sum() for b in groups] for a in groups])

@@ -467,7 +467,6 @@ class SimplexEngine:
         std = self.std
         self._install_basis(basis, stat)
         d = self._reduced_costs(std.c)
-        stale_prices = 0
         while True:
             if self._out_of_budget():
                 return "limit"
@@ -504,16 +503,9 @@ class SimplexEngine:
             q = int(cands[np.where(ratios <= theta, aabs, -1.0).argmax()])
             w = self.factor.ftran(_dense_column(std.A, q))
             if abs(w[r]) < PIVOT_TOL:
-                # price disagreement: refresh factors and retry this row
-                stale_prices += 1
-                if stale_prices > 3:
-                    raise NumericalFailureError(
-                        "persistent price disagreement in dual ratio test"
-                    )
-                self._refactor_and_refresh()
-                d = self._reduced_costs(std.c)
-                continue
-            stale_prices = 0
+                # the column disagrees with the row that priced it in;
+                # solve_verified recovers from the last basis
+                raise NumericalFailureError("price disagreement in dual ratio test")
             target = self.lo_b[r] if low_side else self.hi_b[r]
             delta_q = (xb[r] - target) / w[r]
             self._step(delta_q, w)

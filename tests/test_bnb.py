@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import cycleclust.bnb as bnb
 from cycleclust.bnb import HeuristicsConfig, SolverConfig, branch_and_bound
-from cycleclust.clustering import objective
+from cycleclust.clustering import canonicalize, objective, reflect
 from cycleclust.generate.triangle import triangle_fixture
-from cycleclust.heuristics import brute_force
+from cycleclust.heuristics import brute_force, greedy_heuristic
+from cycleclust.markov import project
 from cycleclust.mip import build_mip
 
 from util import fail_first_verify, random_chain
@@ -226,3 +228,28 @@ def test_larger_cycles_respect_flow_sign_constraints():
         d = project(w, res.incumbent).delta()
         idx = np.arange(m)
         assert np.all(d[idx, (idx + 1) % m] >= -1e-12)
+
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_an_offer_with_negative_flows_yields_its_reflection(monkeypatch, m):
+    """Offered a clustering whose consecutive net flows are negative, the
+    solve keeps its reflection, valued off the offer's projection with rows
+    and columns permuted, and equal to `objective` bit for bit."""
+    def admissible(c):
+        d = project(w, c).delta()
+        return all(d[k, (k + 1) % m] >= -1e-12 for k in range(m))
+
+    cases = 0
+    for seed in range(8):
+        _, _, w = random_chain(8, 700 + seed)
+        greedy = greedy_heuristic(w, m, 0.001)
+        if not admissible(greedy) or admissible(reflect(greedy)):
+            continue
+        monkeypatch.setattr(bnb, "greedy_heuristic", lambda *args: reflect(greedy))
+        cfg = SolverConfig(node_limit=0, heuristics=HeuristicsConfig(exchange=False))
+        res = branch_and_bound(build_mip(w, m, 0.001), w, cfg)
+        assert res.incumbent.assignment.tolist() == canonicalize(greedy).assignment.tolist()
+        assert res.primal == objective(w, greedy, 0.001).total
+        cases += 1
+    assert cases >= 4

@@ -5,9 +5,9 @@ import pytest
 
 from cycleclust.clustering import (
     CycleClustering,
+    ObjectiveValue,
     canonicalize,
     objective,
-    predecessor,
     reflect,
     successor,
 )
@@ -15,7 +15,7 @@ from cycleclust.errors import DimensionMismatchError, InvalidClusteringError
 from cycleclust.generate import MultiwayCutInstance, multiway_cut_to_instance
 from cycleclust.generate.triangle import triangle_fixture
 from cycleclust.heuristics import brute_force, exchange_improvement, greedy_heuristic
-from cycleclust.markov import FlowMatrix
+from cycleclust.markov import FlowMatrix, ProjectedMatrix, coherence, net_flow, project
 from cycleclust.mip import build_mip
 
 from util import loop_objective, random_chain, random_clustering
@@ -25,7 +25,6 @@ TRIANGLE_OPT = np.array([1, 2, 3, 1, 1, 2, 2, 3, 3])
 
 def test_successor_wraps():
     assert [successor(k, 3) for k in (1, 2, 3)] == [2, 3, 1]
-    assert [predecessor(k, 3) for k in (1, 2, 3)] == [3, 1, 2]
 
 
 class TestCycleClustering:
@@ -175,3 +174,47 @@ class TestReflect:
     def test_reflection_is_an_involution(self):
         c = CycleClustering(n=5, m=4, assignment=np.array([1, 2, 3, 4, 2]))
         assert reflect(reflect(c)).assignment.tolist() == c.assignment.tolist()
+
+
+def per_pair_objective(w, c, alpha):
+    """(total, flow, coherence) summed one cluster pair at a time with
+    `net_flow` and `coherence`, in cluster order: how the objective was
+    computed before the projection carried its formula."""
+    groups = c.clusters()
+    coh = 0.0
+    for g in groups:
+        coh += coherence(w, g)
+    flow = 0.0
+    if c.m >= 3:
+        for k in range(1, c.m + 1):
+            flow += net_flow(w, groups[k - 1], groups[successor(k, c.m) - 1])
+    return flow + alpha * coh, flow, coh
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_objective_is_the_per_pair_sums_bit_for_bit():
+    """On random chains, clusterings and their reflections, the objective
+    read off the projection equals the per-pair sums exactly; so does the
+    reflection's value read off the projection permuted by
+    (1, m, m - 1, ..., 2), as branch and bound reads it."""
+    rng = np.random.default_rng(16)
+    checked = 0
+    for n in range(3, 13):
+        for seed in range(3):
+            _, _, w = random_chain(n, 500 + 10 * n + seed, floor=0.01)
+            for m in range(1, min(n, 6) + 1):
+                c = CycleClustering(n=n, m=m, assignment=random_clustering(n, m, rng))
+                p = project(w, c)
+                flip = np.r_[0, m - 1:0:-1]
+                permuted = ProjectedMatrix(p.entries[np.ix_(flip, flip)])
+                for x, proj in ((c, p), (reflect(c), permuted)):
+                    for alpha in (0.001, 0.3):
+                        expected = bits(per_pair_objective(w, x, alpha))
+                        for value in (objective(w, x, alpha), ObjectiveValue.of(proj, alpha)):
+                            assert bits((value.total, value.flow_part,
+                                         value.coherence_part)) == expected
+                        checked += 1
+    assert checked == 2 * 2 * 3 * sum(min(n, 6) for n in range(3, 13))

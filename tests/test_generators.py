@@ -190,6 +190,13 @@ class TestHmcSampler:
             hmc_with_drift(OMEGA3, OMEGA3.minima[0], beta=0.5, n_steps=n_steps,
                            drift_mag=0.1, seed=1)
 
+    def test_potential_without_wells_is_refused(self):
+        # the first drift target is well 0, so an empty table of wells once
+        # died with an IndexError
+        with pytest.raises(ValueError, match="potential 'bare' has no wells"):
+            hmc_with_drift(Potential("bare", (), ()), (0.0, 0.0), beta=0.5, n_steps=50,
+                           drift_mag=0.1, seed=1)
+
     def test_numpy_integer_steps_and_integer_start_are_accepted(self):
         a = hmc_with_drift(OMEGA3, (0, 0), beta=0.5, n_steps=np.int64(40),
                            drift_mag=0.1, seed=1)

@@ -50,6 +50,29 @@ def test_read_matrix_dispatches_on_header(tmp_path):
     assert isinstance(io.read_matrix(tmp_path / "b.fm"), FlowMatrix)
 
 
+PLAIN, TAGGED = "expected a plain bin count header", "expected 'FM <n>' header"
+
+
+@pytest.mark.parametrize("text,reader,message", [
+    ("", io.read_matrix, "empty file"),
+    ("", io.read_flow_matrix, "empty file"),
+    ("\n1\n", io.read_matrix, PLAIN),
+    ("2 2\n", io.read_transition_matrix, PLAIN),
+    ("FM 1\n1.0\n", io.read_transition_matrix, PLAIN),
+    # a superscript two passes str.isdigit but not int()
+    ("\u00b2\n", io.read_matrix, PLAIN),
+    ("FM\n", io.read_matrix, TAGGED),
+    ("FMX 1\n1.0\n", io.read_matrix, TAGGED),
+    ("FM 1 1\n1.0\n", io.read_flow_matrix, TAGGED),
+    ("1\n1.0\n", io.read_flow_matrix, TAGGED),
+])
+def test_malformed_matrix_header_is_named(tmp_path, text, reader, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        reader(path)
+
+
 def test_truncated_matrix_rejected(tmp_path):
     path = tmp_path / "bad.tm"
     path.write_text("3\n0.5 0.5 0.0\n")

@@ -15,6 +15,9 @@ from cycleclust.errors import (
 from cycleclust.generate.triangle import triangle_fixture
 from cycleclust.markov import (
     FlowMatrix,
+    ProjectedMatrix,
+    StationaryDistribution,
+    TransitionMatrix,
     coherence,
     flow_matrix,
     net_flow,
@@ -26,34 +29,40 @@ from cycleclust.markov import (
 from util import loop_coherence, random_chain, random_clustering
 
 
+# validate_stochastic(raw) is TransitionMatrix(raw); both must refuse the same
+@pytest.mark.parametrize("check", [validate_stochastic, TransitionMatrix])
 class TestValidateStochastic:
-    def test_identity_is_valid(self):
-        tm = validate_stochastic(np.eye(2))
+    def test_identity_is_valid(self, check):
+        tm = check(np.eye(2))
         assert tm.n == 2
 
-    def test_row_sum_violation_reports_row_and_sum(self):
+    def test_row_sum_violation_reports_row_and_sum(self, check):
         with pytest.raises(RowSumViolationError) as err:
-            validate_stochastic([[0.5, 0.6], [0.2, 0.8]])
+            check([[0.5, 0.6], [0.2, 0.8]])
         assert err.value.row == 0
         assert err.value.row_sum == pytest.approx(1.1)
 
-    def test_negative_entry_reports_position(self):
+    def test_negative_entry_reports_position(self, check):
         with pytest.raises(NegativeEntryError) as err:
-            validate_stochastic([[0.9, 0.1], [-0.1, 1.1]])
+            check([[0.9, 0.1], [-0.1, 1.1]])
         assert (err.value.row, err.value.col) == (1, 0)
 
-    def test_rejects_non_square(self):
+    def test_rejects_non_square(self, check):
         with pytest.raises(DimensionMismatchError):
-            validate_stochastic(np.ones((2, 3)) / 3)
+            check(np.ones((2, 3)) / 3)
 
-    def test_rejects_non_finite(self):
+    def test_rejects_empty(self, check):
+        with pytest.raises(DimensionMismatchError):
+            check(np.zeros((0, 0)))
+
+    def test_rejects_non_finite(self, check):
         with pytest.raises(NonFiniteEntryError):
-            validate_stochastic([[np.nan, 1.0], [0.5, 0.5]])
+            check([[np.nan, 1.0], [0.5, 0.5]])
 
-    def test_tolerance_boundary(self):
-        validate_stochastic([[0.5, 0.5 + 9e-10], [0.0, 1.0]])
+    def test_tolerance_boundary(self, check):
+        check([[0.5, 0.5 + 9e-10], [0.0, 1.0]])
         with pytest.raises(RowSumViolationError):
-            validate_stochastic([[0.5, 0.5 + 2e-9], [0.0, 1.0]])
+            check([[0.5, 0.5 + 2e-9], [0.0, 1.0]])
 
 
 class TestStationaryDistribution:
@@ -234,3 +243,40 @@ def test_bin_sets_accept_any_iterable():
     gen_b = (b for b in (4, 5))
     assert net_flow(w, gen_a, gen_b) == net_flow(w, {1, 2}, {4, 5})
     assert coherence(w, iter((2, 3))) == coherence(w, {2, 3})
+
+
+class TestOwnedEntries:
+    """The matrix types check their input and keep a read-only float copy."""
+
+    def test_nested_lists_are_accepted(self):
+        assert TransitionMatrix([[0.5, 0.5], [0, 1]]).entries.dtype == float
+        # a FlowMatrix of lists once died reading `ndim` off the list
+        fm = FlowMatrix([[0.5, 0], [0, 0.5]])
+        assert fm.entries.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+    @pytest.mark.parametrize("make,field,raw", [
+        (TransitionMatrix, "entries", [[0.5, 0.5], [0.5, 0.5]]),
+        (FlowMatrix, "entries", [[0.5, 0.5], [0.5, 0.5]]),
+        (ProjectedMatrix, "entries", [[0.5, 0.5], [0.5, 0.5]]),
+        (StationaryDistribution, "pi", [0.5, 0.5]),
+    ])
+    def test_later_writes_to_the_input_change_nothing(self, make, field, raw):
+        a = np.array(raw)
+        value = make(a)
+        before = getattr(value, field).copy()
+        a.flat[1] = 7.0  # would unbalance a FlowMatrix
+        assert np.array_equal(getattr(value, field), before)
+        with pytest.raises(ValueError):
+            getattr(value, field).flat[1] = 7.0
+
+    def test_flow_matrix_checks_like_a_transition_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            FlowMatrix(np.zeros((0, 0)))
+        with pytest.raises(DimensionMismatchError):
+            FlowMatrix(np.ones(3))
+        with pytest.raises(NonFiniteEntryError):
+            FlowMatrix([[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_flow_matrix_of_a_chain_keeps_the_products_bits(self):
+        P, pi, w = random_chain(6, 8)
+        assert np.array_equal(w.entries, pi.pi[:, None] * P.entries)

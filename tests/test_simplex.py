@@ -428,6 +428,43 @@ def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
         assert child.objective() == pytest.approx(expected, abs=1e-8)
 
 
+def test_price_disagreement_recovers_from_the_last_basis(monkeypatch):
+    """An entering column whose pivot entry vanishes, though its row priced
+    it in, fails the dual re-solve at once; the one recovery of
+    solve_verified ends at the cold solve's verified optimum."""
+    std, root, _, children = branched_root(7, 16)
+    btran_unit, ftran = simplex._Factors.btran_unit, simplex._Factors.ftran
+    for lb, ub in children:
+        expected = cold_optimum(std, lb, ub)
+        rows, zeroed = [], []
+
+        def priced_row(self, r):
+            rows.append(r)
+            return btran_unit(self, r)
+
+        def disagreeing_ftran(self, v):
+            # the first ftran after the dual loop prices a row is the
+            # entering column's: zero its entry in that row, once
+            y = ftran(self, v)
+            if rows and not zeroed:
+                zeroed.append(rows[-1])
+                y[rows[-1]] = 0.0
+            return y
+
+        monkeypatch.setattr(simplex._Factors, "btran_unit", priced_row)
+        monkeypatch.setattr(simplex._Factors, "ftran", disagreeing_ftran)
+        with pytest.raises(NumericalFailureError, match="price disagreement"):
+            SimplexEngine(std, lb.copy(), ub.copy()).solve_dual(root.basis, root.stat)
+        rows.clear()
+        zeroed.clear()
+        child = SimplexEngine(std, lb, ub)
+        state = child.solve_verified(lambda: child.solve_dual(root.basis, root.stat))
+        monkeypatch.undo()
+        assert len(zeroed) == 1
+        assert state == "optimal"
+        assert child.objective() == pytest.approx(expected, abs=1e-8)
+
+
 def test_verify_flags_a_free_nonbasic_column_with_nonzero_reduced_cost():
     """In the free-column LP the basis {y, cap slack} with z free nonbasic at
     0 is primal feasible at objective 0, with reduced cost 1 on z."""
