@@ -25,6 +25,10 @@ def successor(k: int, m: int) -> int:
     return k % m + 1
 
 
+def predecessor(k: int, m: int) -> int:
+    return (k - 2) % m + 1
+
+
 @dataclass(frozen=True)
 class CycleClustering:
     """Surjective assignment of n bins onto m cyclically ordered clusters.
@@ -53,6 +57,11 @@ class CycleClustering:
         if np.any(present == 0):
             empty = int(np.nonzero(present == 0)[0][0]) + 1
             raise InvalidClusteringError(f"cluster {empty} is empty")
+
+    @classmethod
+    def from_labels(cls, labels, m: int | None = None) -> "CycleClustering":
+        a = np.asarray(labels, dtype=int)
+        return cls(n=a.size, m=int(a.max()) if m is None else m, assignment=a)
 
     def members(self, k: int) -> np.ndarray:
         """1-based bins of cluster k, ascending."""

@@ -38,12 +38,13 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-def _square_nonnegative(raw, name: str) -> np.ndarray:
+def _square_nonnegative(raw, name: str, not_square: str) -> np.ndarray:
     """A read-only float copy of `raw`, which must be a square, non-empty,
-    finite and nonnegative matrix; `name` names it in the errors."""
+    finite and nonnegative matrix; `name` names it in the errors, and the
+    shape error is `not_square` formatted with the shape."""
     a = _frozen(raw)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatchError(f"expected a square {name}, got shape {a.shape}")
+        raise DimensionMismatchError(not_square.format(a.shape))
     if not np.all(np.isfinite(a)):
         raise NonFiniteEntryError(f"{name} has non-finite entries")
     neg = np.argwhere(a < 0)
@@ -64,7 +65,7 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _square_nonnegative(self.entries, "matrix")
+        a = _square_nonnegative(self.entries, "matrix", "expected a square matrix, got shape {}")
         sums = a.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
@@ -103,7 +104,7 @@ class FlowMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _square_nonnegative(self.entries, "flow matrix")
+        a = _square_nonnegative(self.entries, "flow matrix", "flow matrix must be square, got {}")
         rows = a.sum(axis=1)
         cols = a.sum(axis=0)
         gap = np.abs(rows - cols)

@@ -8,6 +8,7 @@ from cycleclust.clustering import (
     ObjectiveValue,
     canonicalize,
     objective,
+    predecessor,
     reflect,
     successor,
 )
@@ -25,6 +26,7 @@ TRIANGLE_OPT = np.array([1, 2, 3, 1, 1, 2, 2, 3, 3])
 
 def test_successor_wraps():
     assert [successor(k, 3) for k in (1, 2, 3)] == [2, 3, 1]
+    assert [predecessor(k, 3) for k in (1, 2, 3)] == [3, 1, 2]
 
 
 class TestCycleClustering:

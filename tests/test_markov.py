@@ -277,6 +277,20 @@ class TestOwnedEntries:
         with pytest.raises(NonFiniteEntryError):
             FlowMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("make, shape_msg, finite_msg", [
+        (TransitionMatrix, "expected a square matrix, got shape (2, 3)",
+         "matrix has non-finite entries"),
+        (FlowMatrix, "flow matrix must be square, got (2, 3)",
+         "flow matrix has non-finite entries"),
+    ])
+    def test_each_type_keeps_its_messages(self, make, shape_msg, finite_msg):
+        with pytest.raises(DimensionMismatchError) as err:
+            make(np.ones((2, 3)) / 3)
+        assert str(err.value) == shape_msg
+        with pytest.raises(NonFiniteEntryError) as err:
+            make([[np.nan, 0.0], [0.0, 1.0]])
+        assert str(err.value) == finite_msg
+
     def test_flow_matrix_of_a_chain_keeps_the_products_bits(self):
         P, pi, w = random_chain(6, 8)
         assert np.array_equal(w.entries, pi.pi[:, None] * P.entries)
