@@ -5,7 +5,11 @@ the most fractional assignment binary, and three primal heuristics on a
 fixed schedule: greedy construction once at the root, LP rounding at every
 node whose depth is a multiple of five, and single-bin exchange improvement
 after every new incumbent. Node re-solves warm-start a dual simplex from
-the parent basis, which yields valid bounds even when interrupted.
+the parent basis, which yields valid bounds even when interrupted. With an
+incumbent at hand, the root LP starts from its basis (a crash start).
+Everything bnb hands the engine is in original units: a node's fixings, and
+for the crash the incumbent's column values and the rows that define f and
+g (`mip.defining_rows`). Scaling and basis statuses stay inside `simplex`.
 
 The open nodes live in one heap for both orders: keyed by parent bound
 under best-bound, by newest node id under depth-first. A node whose LP
@@ -28,8 +32,8 @@ from .clustering import CycleClustering, ObjectiveValue, canonicalize, objective
 from .errors import NumericalFailureError
 from .heuristics import exchange_improvement, greedy_heuristic, rounding_heuristic
 from .markov import FlowMatrix, ProjectedMatrix, project
-from .mip import MipInstance, clustering_from_solution, solution_values
-from .simplex import AT_LB, AT_UB, BASIC, SimplexEngine, StandardLp, _apply_overrides
+from .mip import MipInstance, clustering_from_solution, defining_rows, solution_values
+from .simplex import SimplexEngine, StandardLp
 
 PRUNE_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
@@ -108,19 +112,6 @@ def trivial_upper_bound(W: FlowMatrix, alpha: float) -> float:
     return float(imbalance + alpha * q.sum())
 
 
-def _crash_state(mip: MipInstance, std: StandardLp, values: np.ndarray):
-    """Basis and statuses for an integral solution (a crash start): f_k and
-    g_k basic in their defining rows, slacks basic everywhere else."""
-    n, m = mip.n, mip.m
-    basis = std.nstruct + np.arange(std.nrows, dtype=np.int64)
-    basis[n + m:n + 2 * m] = mip.blocks["f"].offset + np.arange(m)
-    basis[n + 2 * m:n + 3 * m] = mip.blocks["g"].offset + np.arange(m)
-    stat = np.full(std.ncols, AT_LB, dtype=np.int8)
-    stat[: std.nstruct][values >= std.base_ub[: std.nstruct] - 1e-12] = AT_UB
-    stat[basis] = BASIC
-    return basis, stat
-
-
 def branch_and_bound(mip: MipInstance, W: FlowMatrix,
                      config: SolverConfig | None = None) -> SolveResult:
     cfg = config or SolverConfig()
@@ -189,18 +180,15 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
         nonlocal std
         if std is None:
             std = StandardLp(mip)
-        lb, ub = _apply_overrides(std, node.bounds)
-        engine = SimplexEngine(std, lb, ub, deadline=deadline)
-        if np.any(lb > ub):
-            return "infeasible", -math.inf, engine
+        engine = SimplexEngine(std, node.bounds, deadline=deadline)
         cutoff = primal + PRUNE_TOL if incumbent is not None else None
 
         def solve() -> str:
             if node.basis is not None:
                 return engine.solve_dual(node.basis, node.stat, cutoff=cutoff)
             if incumbent is not None and not node.bounds:
-                vals = solution_values(mip, incumbent) / std.col_scale[: std.nstruct]
-                return engine.solve_from_basis(*_crash_state(mip, std, vals))
+                return engine.solve_crash(solution_values(mip, incumbent),
+                                          *defining_rows(mip))
             return engine.solve_cold()
 
         try:
@@ -208,8 +196,8 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
         except NumericalFailureError:
             # the solve and its recovery failed: the node keeps its parent's
             # bound and gets a blind split
-            return "stuck", node.parent_bound, engine
-        return state, engine.objective(), engine
+            return "stuck", engine
+        return state, engine
 
     def branch(node: BnbNode, col: int, bound: float,
                basis: np.ndarray | None = None, stat: np.ndarray | None = None):
@@ -242,7 +230,7 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
         node = heapq.heappop(pool)[-1]
         if incumbent is not None and node.parent_bound <= primal + PRUNE_TOL:
             continue
-        state, bound, engine = node_lp(node)
+        state, engine = node_lp(node)
         nodes_processed += 1
         trace.append((nodes_processed, primal if incumbent else None, dual_now))
         if state == "stuck":
@@ -253,9 +241,9 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
             if unfixed.size:
                 branch(node, int(unfixed[0]), node.parent_bound)
                 continue
-            # the scale factors are powers of two, so the unscaling is exact
-            x = (engine.lb[:nx] * std.col_scale[:nx]).reshape(n, m)
-            if np.all(x.sum(axis=1) == 1.0) and np.all(x.any(axis=0)):
+            # scale factors are positive, so a binary fixed to 1 has lb > 0
+            x = (engine.lb[:nx] > 0).reshape(n, m)
+            if np.all(x.sum(axis=1) == 1) and np.all(x.any(axis=0)):
                 offer(CycleClustering(n=n, m=m, assignment=np.argmax(x, axis=1) + 1))
             continue
         if state == "limit":
@@ -265,11 +253,12 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
                 )
             # deadline hit mid-solve; dual iterates still bound the node
             if node.basis is not None:
-                node = replace(node, parent_bound=min(node.parent_bound, bound))
+                node = replace(node, parent_bound=min(node.parent_bound, engine.objective()))
             push(node)
             continue
         if state in ("infeasible", "cutoff"):
             continue
+        bound = engine.objective()
         if incumbent is not None and bound <= primal + PRUNE_TOL:
             continue
         original = engine.original_values()

@@ -61,7 +61,6 @@ def _manifest(out_dir: Path, command: str, args: dict, inputs: list, t0: float) 
         "arguments": args,
         "inputs": [str(p) for p in inputs],
         "output_dir": str(out_dir),
-        "seed": args.get("seed"),
         "config": args.get("config"),
         "tool_version": __version__,
         "wall_clock_s": time.monotonic() - t0,
@@ -152,7 +151,7 @@ def cmd_solve(args) -> int:
         io.write_clustering(out / "clustering.json", result.incumbent, value)
     _manifest(out, "solve", {
         "matrix": args.matrix, "matrix_kind": kind, "m": args.m,
-        "alpha": args.alpha, "seed": args.seed, "config": args.config,
+        "alpha": args.alpha, "config": args.config,
         "time_limit": args.time_limit, "gap_tol": args.gap_tol,
         "node_limit": args.node_limit, "node_selection": args.node_selection,
         "emit_lp": bool(args.emit_lp),
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-m", type=int, required=True)
     s.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
     s.add_argument("--out", default="solution")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--config", default=None)
     s.add_argument("--time-limit", type=_number(float), default=None)
     s.add_argument("--gap-tol", type=_number(float), default=None)

@@ -58,11 +58,6 @@ class CycleClustering:
             empty = int(np.nonzero(present == 0)[0][0]) + 1
             raise InvalidClusteringError(f"cluster {empty} is empty")
 
-    @classmethod
-    def from_labels(cls, labels, m: int | None = None) -> "CycleClustering":
-        a = np.asarray(labels, dtype=int)
-        return cls(n=a.size, m=int(a.max()) if m is None else m, assignment=a)
-
     def members(self, k: int) -> np.ndarray:
         """1-based bins of cluster k, ascending."""
         return np.nonzero(self.assignment == k)[0] + 1

@@ -156,18 +156,13 @@ def _refuse_unknown_keys(path, doc: dict, cls, prefix: str = "") -> None:
 def read_solver_config(path) -> SolverConfig:
     doc = _read_json_object(path)
     _refuse_unknown_keys(path, doc, SolverConfig)
-    heur = doc.get("heuristics", {})
+    heur = doc.pop("heuristics", {})
     if not isinstance(heur, dict):
         raise FileFormatError(f"{path}: heuristics must be a JSON object, got {heur!r}")
     _refuse_unknown_keys(path, heur, HeuristicsConfig, "heuristics.")
     try:
-        return SolverConfig(
-            gap_tol=doc.get("gap_tol", 1e-6),
-            time_limit_s=doc.get("time_limit_s"),
-            node_limit=doc.get("node_limit"),
-            node_selection=doc.get("node_selection", "best_bound"),
-            heuristics=HeuristicsConfig(**heur),
-        )
+        # the keys absent from the document keep the dataclasses' defaults
+        return SolverConfig(**doc, heuristics=HeuristicsConfig(**heur))
     except ValueError as exc:  # a value of the wrong type or out of range
         raise FileFormatError(f"{path}: {exc}") from exc
 

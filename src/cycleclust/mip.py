@@ -298,6 +298,17 @@ def model_objective_value(mip: MipInstance, values: np.ndarray) -> float:
     return total
 
 
+def defining_rows(mip: MipInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of f_1..f_m and g_1..g_m in build_mip's layout: f_k
+    (g_k) appears only in row flowdef_k (cohdef_k), with coefficient 1."""
+    prefixes = [prefix for prefix, _, _ in mip.row_groups]
+    starts = np.cumsum([0] + [count for _, count, _ in mip.row_groups])
+    ks = np.arange(mip.m)
+    rows = np.concatenate([starts[prefixes.index(g)] + ks for g in ("flowdef", "cohdef")])
+    cols = np.concatenate([mip.blocks[tag].offset + ks for tag in ("f", "g")])
+    return rows, cols
+
+
 def solution_values(mip: MipInstance, c: CycleClustering) -> np.ndarray:
     """Variable values implied by an integral clustering, in column order.
 
@@ -313,13 +324,10 @@ def solution_values(mip: MipInstance, c: CycleClustering) -> np.ndarray:
         products = x[block.i] * x[block.j][:, (np.arange(m) + block.shift) % m]
         out[block.offset:block.offset + block.size] = products.ravel()
     mat = mip.matrix
-    # f_k (g_k) appears only in flowdef_k (cohdef_k), with coefficient 1
-    for tag, first_row in (("f", n + m), ("g", n + 2 * m)):
-        for k in range(m):
-            col, row = mip.blocks[tag].offset + k, first_row + k
-            lo, hi = mat.indptr[row], mat.indptr[row + 1]
-            acc = float(mat.data[lo:hi] @ out[mat.indices[lo:hi]]) - out[col]
-            out[col] = mip.rhs[row] - acc
+    for row, col in zip(*defining_rows(mip)):
+        lo, hi = mat.indptr[row], mat.indptr[row + 1]
+        acc = float(mat.data[lo:hi] @ out[mat.indices[lo:hi]]) - out[col]
+        out[col] = mip.rhs[row] - acc
     return out
 
 

@@ -15,6 +15,10 @@ Dual-simplex iterates stay dual feasible, so their objective value is a
 valid upper bound on the relaxation at every step; branch-and-bound uses
 this both for early cutoff and for sound bounds under time limits.
 
+Scaling is internal: callers give bound tightenings and crash points in
+original units and read values back in them; only the engine divides by
+the power-of-two column factors of `StandardLp`.
+
 Numerical trouble has one recovery path, `SimplexEngine.solve_verified`: a
 primal re-solve from the last basis under a fixed iteration cap.
 """
@@ -144,10 +148,6 @@ class StandardLp:
                    self.AT.data, v, out)
         return out
 
-    def scale_bound(self, col: int, value: float) -> float:
-        """Express an original-units bound in the scaled column units."""
-        return value / self.col_scale[col]
-
 
 class _Factors:
     """B^-1 as a sparse LU of the last refactorized basis B0 plus an eta
@@ -249,13 +249,18 @@ class _Factors:
 
 
 class SimplexEngine:
-    """State of one LP solve over a StandardLp with current bound arrays."""
+    """State of one LP solve over a StandardLp. `bounds` maps columns to
+    (lower, upper) pairs in original units that tighten the standard form's
+    bounds; `lb` and `ub` hold the result in scaled units."""
 
-    def __init__(self, std: StandardLp, lb: np.ndarray, ub: np.ndarray,
-                 iter_limit: int | None = None, deadline: float | None = None):
+    def __init__(self, std: StandardLp, bounds=None, iter_limit: int | None = None,
+                 deadline: float | None = None):
         self.std = std
-        self.lb = lb
-        self.ub = ub
+        self.lb = std.base_lb.copy()
+        self.ub = std.base_ub.copy()
+        for j, (lo, hi) in (bounds or {}).items():
+            self.lb[j] = max(self.lb[j], lo / std.col_scale[j])
+            self.ub[j] = min(self.ub[j], hi / std.col_scale[j])
         self.iter_limit = iter_limit if iter_limit is not None else std.default_iter_limit
         self.deadline = deadline
         self.iterations = 0
@@ -455,6 +460,21 @@ class SimplexEngine:
         """Primal simplex from a given basis, feasible or not."""
         return self._solve_primal(basis, stat)
 
+    def solve_crash(self, values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> str:
+        """Primal simplex from the basis of an integral point (a crash
+        start). `values` are the point's structural column values in
+        original units; column cols[i] is basic in row rows[i], the slack
+        everywhere else, and a nonbasic sits at its upper bound when its
+        value reaches it, else at its lower bound."""
+        std = self.std
+        basis = std.nstruct + np.arange(std.nrows, dtype=np.int64)
+        basis[rows] = cols
+        stat = np.full(std.ncols, AT_LB, dtype=np.int8)
+        scaled = values / std.col_scale[: std.nstruct]
+        stat[: std.nstruct][scaled >= self.ub[: std.nstruct] - 1e-12] = AT_UB
+        stat[basis] = BASIC
+        return self.solve_from_basis(basis, stat)
+
     # -- dual simplex ---------------------------------------------------------
 
     def solve_dual(self, basis: np.ndarray, stat: np.ndarray,
@@ -559,17 +579,6 @@ class SimplexEngine:
             return state
 
 
-def _apply_overrides(std: StandardLp, overrides) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled bound arrays with original-units overrides, column -> (lower,
-    upper), tightened in."""
-    lb = std.base_lb.copy()
-    ub = std.base_ub.copy()
-    for j, (lo, hi) in (overrides or {}).items():
-        lb[j] = max(lb[j], std.scale_bound(j, lo))
-        ub[j] = min(ub[j], std.scale_bound(j, hi))
-    return lb, ub
-
-
 def solve_lp(mip, bounds=None, iter_limit: int | None = None,
              time_limit_s: float | None = None) -> LpResult:
     """Solve the continuous relaxation of `mip` with optional bound overrides.
@@ -579,10 +588,8 @@ def solve_lp(mip, bounds=None, iter_limit: int | None = None,
     one recovery of `SimplexEngine.solve_verified`; if that fails too, the
     NumericalFailureError surfaces.
     """
-    std = StandardLp(mip)
-    lb, ub = _apply_overrides(std, bounds)
     deadline = time.monotonic() + time_limit_s if time_limit_s is not None else None
-    engine = SimplexEngine(std, lb, ub, iter_limit=iter_limit, deadline=deadline)
+    engine = SimplexEngine(StandardLp(mip), bounds, iter_limit=iter_limit, deadline=deadline)
     status = engine.solve_verified(engine.solve_cold)
     if status == "infeasible":
         return LpResult("infeasible", -math.inf, np.empty(0), engine.iterations)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cycleclust.errors import TooFewPointsError
+from cycleclust.errors import DegenerateRowError, TooFewPointsError
 from cycleclust.generate import (
     FLAT,
     OMEGA3,
@@ -351,6 +351,16 @@ class TestHmcTransitionMatrix:
         centers = select_bin_centers(traj, 10)
         tm = hmc_transition_matrix(traj, centers)
         validate_stochastic(tm.entries)
+
+    def test_center_far_from_every_point_is_a_degenerate_row(self):
+        """A center no trajectory point comes near gets no membership weight:
+        its row would divide by zero, and the estimate refuses it."""
+        traj = hmc_with_drift(OMEGA3, OMEGA3.minima[0], beta=0.5,
+                              n_steps=200, drift_mag=0.1, seed=9)
+        centers = np.vstack([traj.points[:2], [[100.0, 0.0]]])
+        with pytest.raises(DegenerateRowError, match="row 2 has vanishing weight 0.0") as info:
+            hmc_transition_matrix(traj, centers)
+        assert (info.value.row, info.value.denominator) == (2, 0.0)
 
     def test_lag_two_uses_shifted_pairs(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -26,6 +26,7 @@ from cycleclust.mip import (
     _format,
     build_mip,
     clustering_from_solution,
+    defining_rows,
     export_model,
     model_objective_value,
     parse_model,
@@ -195,6 +196,23 @@ def test_zero_diagonal_and_symmetric_models_lack_their_terms():
         _, coefs, _, _ = mip.constraint(mip.row_names().tolist().index(f"cohdef_{k}"))
         assert not any(c < mip.blocks["e"].offset for c in coefs)
     assert build_mip(symmetric_flow(6, 2), 3, 0.001).blocks["e"].size == 0
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_defining_rows_hold_f_and_g_alone_with_unit_coefficients(m):
+    """The crash start and solution_values rest on these pairs: flowdef_k
+    and cohdef_k are equalities in which f_k and g_k, columns of no other
+    row, have coefficient 1."""
+    mip = build_mip(random_chain(6, 3)[2], m, 0.001)
+    rows, cols = defining_rows(mip)
+    ks = range(1, m + 1)
+    assert mip.row_names()[rows].tolist() == [f"{g}_{k}" for g in ("flowdef", "cohdef")
+                                             for k in ks]
+    assert mip.column_names()[cols].tolist() == [f"{t}_{k}" for t in "fg" for k in ks]
+    for row, col in zip(rows, cols):
+        _, coefs, sense, rhs = mip.constraint(row)
+        assert (coefs[col], sense, rhs) == (1.0, "E", 0.0)
+        assert mip.matrix[:, [col]].nnz == 1
 
 
 FORMAT_CASES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e15 - 1, 1e15, 1e16, 0.1, 1.0 / 3.0,

@@ -11,9 +11,10 @@ from scipy.sparse.linalg import splu
 import cycleclust.simplex as simplex
 from cycleclust.errors import NumericalFailureError, UnboundedError
 from cycleclust.generate.triangle import triangle_fixture
-from cycleclust.mip import MipInstance, build_mip, export_model, parse_model
-from cycleclust.simplex import (AT_LB, AT_UB, BASIC, FREE_NB, SimplexEngine, StandardLp,
-                                _apply_overrides, solve_lp)
+from cycleclust.heuristics import greedy_heuristic
+from cycleclust.mip import (MipInstance, build_mip, defining_rows, export_model, parse_model,
+                            solution_values)
+from cycleclust.simplex import AT_LB, AT_UB, BASIC, FREE_NB, SimplexEngine, StandardLp, solve_lp
 
 from tableau_oracle import tableau_lp_max
 from util import fail_first_verify, random_chain
@@ -163,7 +164,7 @@ def test_dual_warm_start_matches_cold_solve():
         _, _, w = random_chain(6, seed)
         mip = build_mip(w, 3, 0.001)
         std = StandardLp(mip)
-        parent = SimplexEngine(std, std.base_lb.copy(), std.base_ub.copy())
+        parent = SimplexEngine(std)
         assert parent.solve_cold() == "optimal"
         xvals = parent.original_values()[: mip.n * 3]
         frac = np.abs(xvals - np.round(xvals))
@@ -171,13 +172,9 @@ def test_dual_warm_start_matches_cold_solve():
         if frac[j] < 1e-6:
             continue  # already integral, nothing to branch on
         for fixed in (0.0, 1.0):
-            lb = std.base_lb.copy()
-            ub = std.base_ub.copy()
-            lb[j] = max(lb[j], std.scale_bound(j, fixed))
-            ub[j] = min(ub[j], std.scale_bound(j, fixed))
-            child = SimplexEngine(std, lb, ub)
+            child = SimplexEngine(std, {j: (fixed, fixed)})
             state = child.solve_dual(parent.basis, parent.stat)
-            cold = SimplexEngine(std, lb.copy(), ub.copy())
+            cold = SimplexEngine(std, {j: (fixed, fixed)})
             cold_state = cold.solve_cold()
             assert state == cold_state
             if state == "optimal":
@@ -192,17 +189,13 @@ def test_dual_cutoff_returns_early():
     _, _, w = random_chain(7, 16)
     mip = build_mip(w, 3, 0.001)
     std = StandardLp(mip)
-    parent = SimplexEngine(std, std.base_lb.copy(), std.base_ub.copy())
+    parent = SimplexEngine(std)
     assert parent.solve_cold() == "optimal"
     xvals = parent.original_values()[: mip.n * 3]
     j = int(np.argmax(np.abs(xvals - np.round(xvals))))
     assert abs(xvals[j] - round(xvals[j])) > 0.2
     target = 0.0 if xvals[j] > 0.5 else 1.0
-    lb = std.base_lb.copy()
-    ub = std.base_ub.copy()
-    lb[j] = max(lb[j], std.scale_bound(j, target))
-    ub[j] = min(ub[j], std.scale_bound(j, target))
-    child = SimplexEngine(std, lb, ub)
+    child = SimplexEngine(std, {j: (target, target)})
     # a cutoff above the parent optimum prunes before primal feasibility
     state = child.solve_dual(parent.basis, parent.stat,
                              cutoff=parent.objective() + 1.0)
@@ -327,39 +320,57 @@ def test_at_times_is_bitwise_the_sparse_product():
 
 def branched_root(n: int, seed: int):
     """The standard form, the root engine after a cold solve, the root's
-    most fractional binary column j, and the scaled (lb, ub) of the two
+    most fractional binary column j, and the bound overrides of the two
     children that fix j to 0 and to 1."""
     _, _, w = random_chain(n, seed)
     mip = build_mip(w, 3, 0.001)
     std = StandardLp(mip)
-    root = SimplexEngine(std, std.base_lb.copy(), std.base_ub.copy())
+    root = SimplexEngine(std)
     assert root.solve_cold() == "optimal"
     xvals = root.original_values()[: mip.n * 3]
     j = int(np.argmax(np.abs(xvals - np.round(xvals))))
-    children = [_apply_overrides(std, {j: (v, v)}) for v in (0.0, 1.0)]
+    children = [{j: (v, v)} for v in (0.0, 1.0)]
     return std, root, j, children
 
 
-def cold_optimum(std, lb, ub) -> float:
-    cold = SimplexEngine(std, lb.copy(), ub.copy())
+def cold_optimum(std, bounds) -> float:
+    cold = SimplexEngine(std, bounds)
     assert cold.solve_cold() == "optimal"
     return cold.objective()
 
 
 def test_primal_from_an_infeasible_basis_reaches_the_cold_optimum():
     std, root, j, children = branched_root(7, 16)
-    for lb, ub in children:
-        assert not lb[j] <= root.vals[j] <= ub[j]  # the root basis is infeasible
-        child = SimplexEngine(std, lb, ub)
+    for bounds in children:
+        child = SimplexEngine(std, bounds)
+        # the root basis is infeasible
+        assert not child.lb[j] <= root.vals[j] <= child.ub[j]
         assert child.solve_from_basis(root.basis, root.stat) == "optimal"
         child.verify_optimal()
-        assert child.objective() == pytest.approx(cold_optimum(std, lb, ub), abs=1e-8)
+        assert child.objective() == pytest.approx(cold_optimum(std, bounds), abs=1e-8)
 
 
-def assert_loop_state(engine, lb, ub):
+def test_crash_start_is_the_integral_point_and_reaches_the_cold_optimum():
+    """solve_crash takes a clustering's values in original units and the
+    rows defining f and g: its starting basis reproduces that point, and the
+    primal method goes on from it to the cold optimum."""
+    _, _, w = random_chain(7, 16)
+    mip = build_mip(w, 3, 0.001)
+    std = StandardLp(mip)
+    values = solution_values(mip, greedy_heuristic(w, 3, 0.001))
+    start = SimplexEngine(std, iter_limit=0)
+    assert start.solve_crash(values, *defining_rows(mip)) == "limit"
+    assert start.original_values()[: mip.ncols] == pytest.approx(values, abs=1e-12)
+    engine = SimplexEngine(std)
+    assert engine.solve_crash(values, *defining_rows(mip)) == "optimal"
+    engine.verify_optimal()
+    assert engine.objective() == pytest.approx(cold_optimum(std, None), abs=1e-8)
+
+
+def assert_loop_state(engine):
     """The state the loops keep current as they pivot equals what the basis,
-    the statuses and the bounds imply."""
-    basis, stat = engine.basis, engine.stat
+    the statuses and the engine's bounds imply."""
+    basis, stat, lb, ub = engine.basis, engine.stat, engine.lb, engine.ub
     assert np.array_equal(engine.xb, engine.vals[basis])
     assert np.array_equal(engine.lo_b, lb[basis])
     assert np.array_equal(engine.hi_b, ub[basis])
@@ -374,12 +385,12 @@ def test_loop_state_matches_the_basis_after_both_methods():
     """The loop state ends consistent after a dual and a primal re-solve of
     each child."""
     std, root, _, children = branched_root(7, 16)
-    for lb, ub in children:
+    for bounds in children:
         for method in (SimplexEngine.solve_dual, SimplexEngine.solve_from_basis):
-            child = SimplexEngine(std, lb, ub)
+            child = SimplexEngine(std, bounds)
             assert method(child, root.basis, root.stat) == "optimal"
             assert child.iterations > 0
-            assert_loop_state(child, lb, ub)
+            assert_loop_state(child)
 
 
 def free_column_lp():
@@ -395,13 +406,11 @@ def free_column_lp():
 def test_loop_state_after_a_free_column_enters():
     """A cold solve of the free-column LP brings z into the basis, and z
     leaves the free mask as it enters."""
-    std = StandardLp(free_column_lp())
-    lb, ub = std.base_lb.copy(), std.base_ub.copy()
-    engine = SimplexEngine(std, lb, ub)
+    engine = SimplexEngine(StandardLp(free_column_lp()))
     assert engine.solve_cold() == "optimal"
     assert engine.stat[1] == BASIC
     assert engine.objective() == pytest.approx(1.0)
-    assert_loop_state(engine, lb, ub)
+    assert_loop_state(engine)
 
 
 def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
@@ -409,8 +418,8 @@ def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
     the recovery runs the primal method from it to the cold optimum."""
     std, root, _, children = branched_root(7, 16)
     update = simplex._Factors.update
-    for lb, ub in children:
-        expected = cold_optimum(std, lb, ub)
+    for bounds in children:
+        expected = cold_optimum(std, bounds)
         calls = []
 
         def flaky_update(self, r, d):
@@ -420,7 +429,7 @@ def test_failure_inside_a_dual_resolve_recovers(monkeypatch):
             return update(self, r, d)
 
         monkeypatch.setattr(simplex._Factors, "update", flaky_update)
-        child = SimplexEngine(std, lb, ub)
+        child = SimplexEngine(std, bounds)
         state = child.solve_verified(lambda: child.solve_dual(root.basis, root.stat))
         monkeypatch.undo()
         assert len(calls) >= 3
@@ -434,8 +443,8 @@ def test_price_disagreement_recovers_from_the_last_basis(monkeypatch):
     solve_verified ends at the cold solve's verified optimum."""
     std, root, _, children = branched_root(7, 16)
     btran_unit, ftran = simplex._Factors.btran_unit, simplex._Factors.ftran
-    for lb, ub in children:
-        expected = cold_optimum(std, lb, ub)
+    for bounds in children:
+        expected = cold_optimum(std, bounds)
         rows, zeroed = [], []
 
         def priced_row(self, r):
@@ -454,10 +463,10 @@ def test_price_disagreement_recovers_from_the_last_basis(monkeypatch):
         monkeypatch.setattr(simplex._Factors, "btran_unit", priced_row)
         monkeypatch.setattr(simplex._Factors, "ftran", disagreeing_ftran)
         with pytest.raises(NumericalFailureError, match="price disagreement"):
-            SimplexEngine(std, lb.copy(), ub.copy()).solve_dual(root.basis, root.stat)
+            SimplexEngine(std, bounds).solve_dual(root.basis, root.stat)
         rows.clear()
         zeroed.clear()
-        child = SimplexEngine(std, lb, ub)
+        child = SimplexEngine(std, bounds)
         state = child.solve_verified(lambda: child.solve_dual(root.basis, root.stat))
         monkeypatch.undo()
         assert len(zeroed) == 1
@@ -469,7 +478,7 @@ def test_verify_flags_a_free_nonbasic_column_with_nonzero_reduced_cost():
     """In the free-column LP the basis {y, cap slack} with z free nonbasic at
     0 is primal feasible at objective 0, with reduced cost 1 on z."""
     std = StandardLp(free_column_lp())
-    engine = SimplexEngine(std, std.base_lb.copy(), std.base_ub.copy())
+    engine = SimplexEngine(std)
     basis = np.array([0, std.nstruct + 1])
     stat = np.full(std.ncols, AT_LB)
     stat[basis] = BASIC
@@ -548,7 +557,7 @@ def test_children_share_the_factorization_of_their_parents_basis():
     for known in (True, False):
         if not known:
             std.starting_lus.clear()
-        child = SimplexEngine(std, *children[1])
+        child = SimplexEngine(std, children[1])
         state = child.solve_dual(root.basis, root.stat)
         runs.append((state, child.iterations, child.vals.tobytes()))
     assert runs[0] == runs[1]
@@ -567,8 +576,8 @@ def test_lp_across_refactorizations_matches_highs(seed):
     assert root.iterations > root.factor.max_etas
     assert scipy_reference(build_mip(w, 3, 0.001)) == \
         ("optimal", pytest.approx(root.objective(), abs=1e-7))
-    for lb, ub in children:
-        child = SimplexEngine(std, lb, ub)
+    for bounds in children:
+        child = SimplexEngine(std, bounds)
         assert child.solve_dual(root.basis, root.stat) == "optimal"
         child.verify_optimal()
-        assert child.objective() == pytest.approx(cold_optimum(std, lb, ub), abs=1e-8)
+        assert child.objective() == pytest.approx(cold_optimum(std, bounds), abs=1e-8)
