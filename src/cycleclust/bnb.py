@@ -9,7 +9,9 @@ the parent basis, which yields valid bounds even when interrupted. With an
 incumbent at hand, the root LP starts from its basis (a crash start).
 Everything bnb hands the engine is in original units: a node's fixings, and
 for the crash the incumbent's column values and the rows that define f and
-g (`mip.defining_rows`). Scaling and basis statuses stay inside `simplex`.
+g (`mip.defining_rows`). Scale factors and basis status codes stay inside
+`simplex`: a node passes its final basis and statuses to its children
+unread.
 
 The open nodes live in one heap for both orders: keyed by parent bound
 under best-bound, by newest node id under depth-first. A node whose LP
