@@ -5,8 +5,8 @@ the most fractional assignment binary, and three primal heuristics on a
 fixed schedule: greedy construction once at the root, LP rounding at every
 node whose depth is a multiple of five, and single-bin exchange improvement
 after every new incumbent. Node re-solves warm-start a dual simplex from
-the parent basis, which yields valid bounds even when interrupted. With an
-incumbent at hand, the root LP starts from its basis (a crash start).
+the parent basis; one the deadline interrupts keeps its parent's bound.
+With an incumbent at hand, the root LP starts from its basis (a crash start).
 Everything bnb hands the engine is in original units: a node's fixings, and
 for the crash the incumbent's column values and the rows that define f and
 g (`mip.defining_rows`). Scale factors and basis status codes stay inside
@@ -26,7 +26,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -253,9 +253,8 @@ def branch_and_bound(mip: MipInstance, W: FlowMatrix,
                 raise NumericalFailureError(
                     f"node {node.node_id}: iteration limit without a time limit"
                 )
-            # deadline hit mid-solve; dual iterates still bound the node
-            if node.basis is not None:
-                node = replace(node, parent_bound=min(node.parent_bound, engine.objective()))
+            # deadline hit mid-solve: the node goes back with its parent's
+            # bound, as the interrupted iterate's objective may have drifted
             push(node)
             continue
         if state in ("infeasible", "cutoff"):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -13,17 +12,7 @@ from pathlib import Path
 from . import __version__, io
 from .bnb import NODE_SELECTIONS, SolverConfig, branch_and_bound
 from .clustering import DEFAULT_ALPHA, ObjectiveValue, objective
-from .errors import (
-    CycleClustError,
-    DimensionMismatchError,
-    FileFormatError,
-    InvalidClusterCountError,
-    InvalidClusteringError,
-    InvalidTerminalCountError,
-    IsolatedNonTerminalError,
-    TooFewPointsError,
-    TooLargeError,
-)
+from .errors import CycleClustError, UsageError
 from .generate import (
     BY_NAME,
     generate_repressilator_instance,
@@ -38,30 +27,25 @@ from .heuristics import brute_force
 from .markov import TransitionMatrix, flow_matrix, project, stationary_distribution
 from .mip import build_mip, export_model
 
-USAGE_ERRORS = (
-    InvalidClusterCountError,
-    InvalidClusteringError,
-    InvalidTerminalCountError,
-    IsolatedNonTerminalError,
-    DimensionMismatchError,
-    FileFormatError,
-    TooFewPointsError,
-    TooLargeError,
-)
-
 DEFAULT_BETA = 0.5
 DEFAULT_STEPS = 10_000
 DEFAULT_BINS = 20
 LP_WRITE_SLICE = 1 << 20  # characters per write of model.lp
 
 
-def _manifest(out_dir: Path, command: str, args: dict, inputs: list, t0: float) -> None:
+def _manifest(args, inputs: list, t0: float, **derived) -> None:
+    """Write manifest.json into `args.out`. Its arguments are every parsed
+    option but the output directory, plus the values `derived` from the
+    inputs."""
+    out_dir = Path(args.out)
+    recorded = {key: value for key, value in vars(args).items()
+                if key not in ("command", "func", "out")}
     io.write_manifest(out_dir / "manifest.json", {
-        "command": command,
-        "arguments": args,
+        "command": args.command,
+        "arguments": {**recorded, **derived},
         "inputs": [str(p) for p in inputs],
         "output_dir": str(out_dir),
-        "config": args.get("config"),
+        "config": recorded.get("config"),
         "tool_version": __version__,
         "wall_clock_s": time.monotonic() - t0,
     })
@@ -88,13 +72,7 @@ def cmd_generate(args) -> int:
     t0 = time.monotonic()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    recorded = {
-        "kind": args.kind, "seed": args.seed, "drift": args.drift,
-        "beta": args.beta, "steps": args.steps, "bins": args.bins,
-        "lag": args.lag, "count": args.count, "t_final": args.t_final,
-        "dt": args.dt, "graph": args.graph, "alpha": args.alpha,
-    }
-    inputs = []
+    inputs, derived = [], {}
     if args.kind in BY_NAME:
         pot = BY_NAME[args.kind]
         traj = hmc_with_drift(pot, pot.minima[0], beta=args.beta,
@@ -113,17 +91,15 @@ def cmd_generate(args) -> int:
         io.write_points_csv(out / "ends.csv", ends, labels=STATE_LABELS)
     elif args.kind == "triangle":
         io.write_flow_matrix(out / "matrix.fm", triangle_fixture())
-    elif args.kind == "multiway-cut":
+    else:  # multiway-cut
         if not args.graph:
-            raise FileFormatError("multiway-cut generation needs --graph")
+            raise UsageError("multiway-cut generation needs --graph")
         inputs.append(args.graph)
         mc = io.read_multiway_cut(args.graph)
         tm, pi, big_m = multiway_cut_to_instance(mc, alpha=args.alpha)
         io.write_flow_matrix(out / "matrix.fm", flow_matrix(tm, pi))
-        recorded["big_m"] = big_m
-    else:  # pragma: no cover - argparse restricts choices
-        raise FileFormatError(f"unknown kind {args.kind!r}")
-    _manifest(out, "generate", recorded, inputs, t0)
+        derived["big_m"] = big_m
+    _manifest(args, inputs, t0, **derived)
     print(f"wrote {args.kind} instance to {out}")
     return 0
 
@@ -143,19 +119,12 @@ def cmd_solve(args) -> int:
     mip = build_mip(weights, args.m, args.alpha)
     if args.emit_lp:
         _write_lp(out / "model.lp", export_model(mip))
-    cfg = _solver_config(args)
-    result = branch_and_bound(mip, weights, cfg)
+    result = branch_and_bound(mip, weights, _solver_config(args))
     io.write_solve_report(out / "report.json", result)
     if result.incumbent is not None:
         value = objective(weights, result.incumbent, args.alpha)
         io.write_clustering(out / "clustering.json", result.incumbent, value)
-    _manifest(out, "solve", {
-        "matrix": args.matrix, "matrix_kind": kind, "m": args.m,
-        "alpha": args.alpha, "config": args.config,
-        "time_limit": args.time_limit, "gap_tol": args.gap_tol,
-        "node_limit": args.node_limit, "node_selection": args.node_selection,
-        "emit_lp": bool(args.emit_lp),
-    }, [args.matrix], t0)
+    _manifest(args, [args.matrix], t0, matrix_kind=kind)
     print(f"status={result.status} primal={result.primal} "
           f"dual_bound={result.dual_bound} nodes={result.nodes}")
     return 0
@@ -192,14 +161,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     weights, _ = _load_weights(args.matrix)
-    clustering, value = brute_force(weights, args.m, args.alpha)
-    doc = {
-        "n": clustering.n, "m": clustering.m, "alpha": args.alpha,
-        "assignment": [int(k) for k in clustering.assignment],
-        "objective": {"total": value.total, "flow": value.flow_part,
-                      "coherence": value.coherence_part},
-    }
-    print(json.dumps(doc, indent=2))
+    print(io.format_clustering(*brute_force(weights, args.m, args.alpha)))
     return 0
 
 
@@ -232,10 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect global cyclic behavior in non-reversible Markov chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the model's inputs, shared by solve, oracle and export-lp
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("matrix")
+    model.add_argument("-m", type=int, required=True)
+    model.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
 
     g = sub.add_parser("generate", help="produce a test instance")
-    g.add_argument("kind", choices=["omega3", "omega4", "omega6",
-                                    "repressilator", "triangle", "multiway-cut"])
+    g.add_argument("kind", choices=[*BY_NAME, "repressilator", "triangle", "multiway-cut"])
     g.add_argument("--out", default="instance")
     g.add_argument("--seed", type=_number(int), default=0)
     g.add_argument("--drift", type=_number(float), default=0.1)
@@ -250,10 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
     g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("solve", help="compute an optimal cycle clustering")
-    s.add_argument("matrix")
-    s.add_argument("-m", type=int, required=True)
-    s.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
+    s = sub.add_parser("solve", parents=[model], help="compute an optimal cycle clustering")
     s.add_argument("--out", default="solution")
     s.add_argument("--config", default=None)
     s.add_argument("--time-limit", type=_number(float), default=None)
@@ -268,16 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("clustering")
     v.set_defaults(func=cmd_verify)
 
-    o = sub.add_parser("oracle", help="exhaustive optimum for small instances")
-    o.add_argument("matrix")
-    o.add_argument("-m", type=int, required=True)
-    o.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
+    o = sub.add_parser("oracle", parents=[model], help="exhaustive optimum for small instances")
     o.set_defaults(func=cmd_oracle)
 
-    e = sub.add_parser("export-lp", help="write the model in LP text format")
-    e.add_argument("matrix")
-    e.add_argument("-m", type=int, required=True)
-    e.add_argument("--alpha", type=_number(float, above=0), default=DEFAULT_ALPHA)
+    e = sub.add_parser("export-lp", parents=[model],
+                       help="write the model in LP text format")
     e.add_argument("--out", default="model.lp")
     e.set_defaults(func=cmd_export_lp)
     return parser
@@ -290,12 +248,9 @@ def main(argv=None) -> int:
         parser.error(f"--t-final {args.t_final!r} is below --dt {args.dt!r}")
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CycleClustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def entry() -> None:

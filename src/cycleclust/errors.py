@@ -5,6 +5,12 @@ class CycleClustError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(CycleClustError):
+    """Base class for errors in what the caller asked for: an argument out
+    of range or a malformed input file. The command line exits 2 on these
+    and 1 on every other error."""
+
+
 class NegativeEntryError(CycleClustError):
     def __init__(self, row, col, value):
         self.row, self.col, self.value = row, col, value
@@ -43,7 +49,7 @@ class NonUniqueStationaryError(CycleClustError):
         )
 
 
-class DimensionMismatchError(CycleClustError):
+class DimensionMismatchError(UsageError):
     pass
 
 
@@ -53,11 +59,11 @@ class OverlappingSetsError(CycleClustError):
         super().__init__(f"bin sets overlap on {sorted(common)}")
 
 
-class InvalidClusteringError(CycleClustError):
+class InvalidClusteringError(UsageError):
     pass
 
 
-class InvalidClusterCountError(CycleClustError):
+class InvalidClusterCountError(UsageError):
     def __init__(self, m, n):
         self.m, self.n = m, n
         super().__init__(f"cluster count {m} outside valid range [3, {n}]")
@@ -89,13 +95,13 @@ class UnboundedError(CycleClustError):
     pass
 
 
-class TooLargeError(CycleClustError):
+class TooLargeError(UsageError):
     def __init__(self, size, guard):
         self.size, self.guard = size, guard
         super().__init__(f"enumeration size {size} exceeds guard {guard}")
 
 
-class TooFewPointsError(CycleClustError):
+class TooFewPointsError(UsageError):
     def __init__(self, available, requested):
         self.available, self.requested = available, requested
         super().__init__(f"requested {requested} centers from {available} distinct points")
@@ -111,17 +117,17 @@ class NonFiniteStateError(CycleClustError):
     pass
 
 
-class InvalidTerminalCountError(CycleClustError):
+class InvalidTerminalCountError(UsageError):
     def __init__(self, m):
         self.m = m
         super().__init__(f"need at least 3 terminals, got {m}")
 
 
-class IsolatedNonTerminalError(CycleClustError):
+class IsolatedNonTerminalError(UsageError):
     def __init__(self, vertex):
         self.vertex = vertex
         super().__init__(f"non-terminal vertex {vertex} has zero weighted degree")
 
 
-class FileFormatError(CycleClustError):
+class FileFormatError(UsageError):
     pass

@@ -96,7 +96,9 @@ def _read_matrix(path, cls=None):
     return cls(np.array(rows, dtype=float))
 
 
-def write_clustering(path, c: CycleClustering, value: ObjectiveValue) -> None:
+def format_clustering(c: CycleClustering, value: ObjectiveValue) -> str:
+    """The cc-v1 document of a clustering and its objective, without a
+    final newline."""
     doc = {
         "n": c.n,
         "m": c.m,
@@ -108,7 +110,11 @@ def write_clustering(path, c: CycleClustering, value: ObjectiveValue) -> None:
             "coherence": value.coherence_part,
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2)
+
+
+def write_clustering(path, c: CycleClustering, value: ObjectiveValue) -> None:
+    Path(path).write_text(format_clustering(c, value) + "\n")
 
 
 def read_clustering(path):

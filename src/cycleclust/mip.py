@@ -190,18 +190,6 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
-def _pairs_for_model(q: np.ndarray):
-    """Ordered flow pairs (d != 0) and unordered coherence pairs (mass > 0)."""
-    d = q - q.T
-    ei, ej = np.nonzero(d != 0.0)
-    keep = ei != ej
-    epairs = np.stack([ei[keep], ej[keep]], axis=1)
-    s = q + q.T
-    ci, cj = np.nonzero(np.triu(s, k=1) > 0.0)
-    cpairs = np.stack([ci, cj], axis=1)
-    return epairs, cpairs
-
-
 def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     """Assemble the linearized clustering model for a fixed cluster count.
 
@@ -215,7 +203,10 @@ def build_mip(W: FlowMatrix, m: int, alpha: float) -> MipInstance:
     check_alpha(alpha)
     q = W.entries
     d = q - q.T
-    epairs, cpairs = _pairs_for_model(q)
+    # ordered flow pairs (d != 0, never on the diagonal) and unordered
+    # coherence pairs (mass > 0)
+    epairs = np.argwhere(d != 0.0)
+    cpairs = np.argwhere(np.triu(q + q.T, k=1) > 0.0)
     ne, nc = len(epairs), len(cpairs)
     off_e = n * m
     off_c = off_e + ne * m

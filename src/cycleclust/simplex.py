@@ -313,6 +313,10 @@ class SimplexEngine:
         self.degen_streak = 0
 
     def objective(self) -> float:
+        """The objective at the current values; -inf with no basis, as after
+        a solve that found crossed bounds infeasible."""
+        if self.vals is None:
+            return -math.inf
         return float(self.std.c @ self.vals)
 
     def original_values(self) -> np.ndarray:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from cycleclust.mip import ColumnBlock, MipInstance, _pairs_for_model
+from cycleclust.mip import ColumnBlock, MipInstance
 
 
 def num(v: float) -> str:
@@ -29,7 +29,11 @@ def triplet_build_mip(W, m: int, alpha: float, one_sided: bool = True) -> MipIns
     n = W.n
     q = W.entries
     d = q - q.T
-    epairs, cpairs = _pairs_for_model(q)
+    # ordered flow pairs (d != 0) and unordered coherence pairs (mass > 0)
+    epairs = np.array([(i, j) for i in range(n) for j in range(n)
+                       if i != j and d[i, j] != 0.0], dtype=np.intp).reshape(-1, 2)
+    cpairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)
+                       if q[i, j] + q[j, i] > 0.0], dtype=np.intp).reshape(-1, 2)
     ne, nc = len(epairs), len(cpairs)
     off_e = n * m
     off_c = off_e + ne * m

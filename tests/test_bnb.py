@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,38 @@ def test_failed_verification_recovers_without_cold_solve(monkeypatch):
     assert events == ["failed"]
     assert res.status == "optimal"
     assert res.primal == pytest.approx(best.total, abs=1e-9)
+
+
+def test_a_limit_exit_keeps_the_parent_bound(monkeypatch):
+    """A node LP interrupted by its budget goes back to the pool with its
+    parent's bound, which the result reports once the deadline has passed;
+    the interrupted dual iterate's objective is not used as a bound."""
+    from cycleclust.simplex import SimplexEngine, solve_lp
+
+    dual = SimplexEngine.solve_dual
+    states = []
+
+    def interrupted(self, basis, stat, cutoff=None):
+        """The second dual re-solve (the root's second child) stops after
+        one iteration, and returns once the deadline has passed."""
+        states.append(None)
+        if len(states) != 2:
+            return dual(self, basis, stat, cutoff)
+        self.iter_limit = 1
+        states[-1] = dual(self, basis, stat, cutoff)
+        time.sleep(max(0.0, self.deadline - time.monotonic()) + 0.01)
+        return states[-1]
+
+    monkeypatch.setattr(SimplexEngine, "solve_dual", interrupted)
+    _, _, w = random_chain(7, 33)
+    mip = build_mip(w, 3, 0.001)
+    cfg = SolverConfig(time_limit_s=1.0, heuristics=HeuristicsConfig(False, False, False))
+    res = branch_and_bound(mip, w, cfg)
+    assert states[1] == "limit"
+    assert res.status == "time-limit"
+    assert res.incumbent is not None
+    # the interrupted node's parent is the root
+    assert res.dual_bound == pytest.approx(solve_lp(mip).objective, abs=1e-12)
 
 
 def test_node_limit_zero_builds_no_standard_form(monkeypatch):

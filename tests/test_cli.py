@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cycleclust import io
-from cycleclust.cli import _load_weights, main
+from cycleclust.cli import _load_weights, build_parser, main
 from cycleclust.generate import MultiwayCutInstance
 from cycleclust.mip import build_mip, export_model
 
@@ -254,6 +254,36 @@ def test_manifest_reproducibility(tmp_path):
             first_clustering = clusterings
     assert reports[0] == reports[1]
     assert clusterings == first_clustering
+
+
+@pytest.mark.parametrize("command", ["omega3", "omega4", "omega6", "repressilator",
+                                     "triangle", "multiway-cut", "solve"])
+def test_manifest_records_every_parsed_option(tmp_path, command):
+    """Every option argparse parsed, apart from --out, is in the manifest's
+    arguments with its parsed value; every option here is given a value
+    other than its default."""
+    graph = tmp_path / "graph.txt"
+    io.write_multiway_cut(graph, MultiwayCutInstance(
+        4, ((1, 4, 3.0), (2, 4, 1.0), (3, 4, 1.0)), (1, 2, 3)))
+    run("generate", "triangle", "--out", tmp_path / "tri")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gap_tol": 1e-5}')
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", tmp_path / "tri" / "matrix.fm", "-m", 3, "--alpha", 0.002,
+                "--config", cfg, "--time-limit", 30, "--gap-tol", 1e-7,
+                "--node-limit", 50, "--node-selection", "dfs", "--emit-lp"]
+    else:
+        argv = ["generate", command, "--seed", 4, "--drift", 0.2, "--beta", 0.6,
+                "--steps", 600, "--bins", 6, "--lag", 2, "--count", 8,
+                "--t-final", 0.05, "--dt", 0.01, "--graph", graph, "--alpha", 0.002]
+    argv = [str(a) for a in [*argv, "--out", out]]
+    parsed = vars(build_parser().parse_args(argv))
+    assert run(*argv) == 0
+    manifest = io.read_manifest(out / "manifest.json")
+    assert manifest["command"] == parsed.pop("command")
+    for key in parsed.keys() - {"func", "out"}:
+        assert manifest["arguments"][key] == parsed[key], key
 
 
 def test_bad_number_in_a_matrix_is_a_format_error(tmp_path, capsys):

@@ -87,8 +87,14 @@ def test_infeasible_equality_detected():
 def test_contradictory_override_infeasible():
     _, _, w = random_chain(4, 0)
     mip = build_mip(w, 3, 0.001)
-    res = solve_lp(mip, bounds={mip.column_index("x_1_1"): (0.0, 0.0)})
+    bounds = {mip.column_index("x_1_1"): (0.0, 0.0)}
+    res = solve_lp(mip, bounds=bounds)
     assert res.status == "infeasible"
+    assert res.objective == -math.inf
+    # the crossed bounds end the solve before a basis is installed
+    engine = SimplexEngine(StandardLp(mip), bounds)
+    assert engine.solve_cold() == "infeasible"
+    assert engine.objective() == -math.inf
 
 
 def test_iteration_limit_status():
