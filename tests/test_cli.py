@@ -8,6 +8,8 @@ from cycleclust.cli import _load_weights, build_parser, main
 from cycleclust.generate import MultiwayCutInstance
 from cycleclust.mip import build_mip, export_model
 
+from util import random_chain
+
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
@@ -102,20 +104,44 @@ def test_export_lp_contains_symmetry_fix(tmp_path):
 
 def test_written_model_lp_is_the_exported_text(tmp_path, monkeypatch):
     """solve --emit-lp and export-lp write export_model's text byte for
-    byte, also when it spans several write slices."""
-    import cycleclust.cli as cli
+    byte, also when it spans many chunks."""
+    import cycleclust.mip as mip
 
-    monkeypatch.setattr(cli, "LP_WRITE_SLICE", 1000)
     run("generate", "omega3", "--out", tmp_path / "in", "--seed", 3,
         "--steps", 600, "--bins", 7)
     matrix = tmp_path / "in" / "matrix.tm"
-    expected = export_model(build_mip(_load_weights(str(matrix))[0], 3, 0.001)).encode()
-    assert len(expected) > 10 * cli.LP_WRITE_SLICE
+    model = build_mip(_load_weights(str(matrix))[0], 3, 0.001)
+    expected = export_model(model).encode()
+    monkeypatch.setattr(mip, "_CHUNK_PIECES", 100)
+    assert sum(1 for _ in mip.lp_chunks(model)) > 20
     assert run("solve", matrix, "-m", 3, "--out", tmp_path / "sol", "--emit-lp",
                "--node-limit", 0) == 0
     assert run("export-lp", matrix, "-m", 3, "--out", tmp_path / "model.lp") == 0
     assert (tmp_path / "sol" / "model.lp").read_bytes() == expected
     assert (tmp_path / "model.lp").read_bytes() == expected
+
+
+def test_lp_write_holds_less_than_the_text(tmp_path, monkeypatch):
+    """Writing model.lp holds one chunk of the text at a time: the traced
+    peak of the write stays below the length of the whole text, which a
+    writer that joins the text first holds at least once."""
+    import tracemalloc
+
+    import cycleclust.cli as cli
+    import cycleclust.mip as mip
+
+    model = build_mip(random_chain(40, 1)[2], 5, 0.001)
+    size = len(export_model(model))
+    monkeypatch.setattr(mip, "_CHUNK_PIECES", 4096)
+    assert sum(1 for _ in mip.lp_chunks(model)) >= 8
+    tracemalloc.start()
+    try:
+        cli._write_lp(tmp_path / "model.lp", model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "model.lp").stat().st_size == size
+    assert peak < size
 
 
 def test_multiway_cut_generation(tmp_path):

@@ -386,6 +386,33 @@ def test_export_covers_every_bound_and_coefficient_form():
     assert export_model(again) == text
 
 
+@pytest.mark.parametrize("budget", [1, 7, 100, 1000, 10**9])
+def test_text_does_not_depend_on_the_chunk_budget(monkeypatch, budget):
+    """lp_chunks cuts only between lines and formats each coefficient once
+    per export: from one row or bound line per chunk up to one chunk per
+    row group, the chunks join to the text at the default budget (pinned
+    above by hash and golden file), and each chunk ends a line."""
+    from pathlib import Path
+
+    import cycleclust.mip as mip
+
+    golden = (Path(__file__).parent / "data" / "golden_3x3.lp").read_text()
+    built = build_mip(random_chain(12, 5)[2], 4, 0.001)
+    models = [built, parse_model(HAND_MADE_LP), parse_model(golden)]
+    texts = [export_model(model) for model in models]
+    assert texts[1:] == [HAND_MADE_LP, golden]
+    monkeypatch.setattr(mip, "_CHUNK_PIECES", budget)
+    for model, text in zip(models, texts):
+        chunks = list(mip.lp_chunks(model))
+        assert "".join(chunks) == text
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        if budget == 1:
+            # the objective, "Subject To", "Bounds" and Binaries-to-End
+            assert len(chunks) == model.nrows + model.ncols + 4
+    defining = [c for c in mip.lp_chunks(built) if " flowdef_" in c or " cohdef_" in c]
+    assert len(defining) > 1 if budget <= 1000 else len(defining) == 2
+
+
 SMALL_LP = """Maximize
  obj: x + 2 y
 Subject To
