@@ -55,7 +55,7 @@ def _manifest(args, inputs: list, t0: float, **derived) -> None:
 def _write_lp(path, mip) -> None:
     """Write the model's LP text chunk by chunk as it is made, so that one
     chunk of it is held at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(lp_chunks(mip))
 
 

@@ -25,14 +25,19 @@ output: lp_chunks, parse_model, MipInstance.constraint and column_index,
 and error messages. Every other interface, solution_values
 and solve_lp included, passes values and bounds by column index. Parsed
 and hand-made instances have no blocks and carry explicit name lists.
-Names come as whole arrays: column_names and row_names name every column
-and row, and row_segments yields one row group's name array at a time.
+Names come as whole tables of bytes, a NUL-padded row per name (_labels):
+column_table names every column, row_segments yields one row group's
+table at a time, and column_names and row_names decode them to str arrays.
 
-lp_chunks makes the text from arrays of string pieces, written chunk by
-chunk; export_model joins the chunks. It formats each distinct coefficient
-once per export (unit coefficients need no number), makes each run of equal
-row ends once per chunk, and names an envelope row by two pieces, its "p1_"
-prefix and its product column's name.
+lp_chunks yields the text as bytes, chunk by chunk; export_model joins and
+decodes the chunks. Each field of a line (a term's sign, coefficient and
+column name, a row's head and end) is such a table. A run of rows with
+equal term counts is one (rows, width) table of bytes, and one pass drops
+its padding, since LP text holds no NUL. Each distinct coefficient is
+formatted once per export (unit coefficients need no number) and its
+field is as wide as the run's widest; each run of equal row ends is made
+once per chunk; an envelope row is named by its "p1_" prefix and its
+product column's name.
 """
 
 from __future__ import annotations
@@ -58,16 +63,55 @@ INT_TOL = 1e-6
 OBJ_TOL = 1e-6
 
 
+def _table(strings) -> np.ndarray:
+    """(count, width) uint8 table of ASCII strings or of bytes, each
+    NUL-padded to the longest."""
+    s = np.array(strings, dtype="S")
+    return s.view(np.uint8).reshape(len(s), s.itemsize)
+
+
+def _const(text: bytes, rows: int) -> np.ndarray:
+    """The same bytes on each of `rows` rows, as a read-only table."""
+    return np.broadcast_to(np.frombuffer(text, np.uint8), (rows, len(text)))
+
+
+def _squeeze(block: np.ndarray) -> bytes:
+    """The bytes of a table, row by row, without their padding. Names
+    and LP text never hold a NUL byte, so only the padding goes."""
+    return block.tobytes().translate(None, b"\0")
+
+
 def _labels(prefix: str, *indices: np.ndarray) -> np.ndarray:
-    """Object array of names prefix_a_b..., one per position of the 0-based
-    index arrays, printed 1-based."""
+    """Table of the names prefix_a_b..., one row per position of the
+    0-based index arrays, printed 1-based. Each _a field is NUL-padded, so
+    a name is its row's bytes without the NULs."""
     top = max((int(ix.max()) for ix in indices if ix.size), default=-1)
-    tails = np.array([f"_{t}" for t in range(1, top + 2)], dtype=object)
-    out = np.empty(len(indices[0]), dtype=object)
-    out.fill(prefix)  # np.full would make a new string per entry
-    for ix in indices:
-        out += tails[ix]
-    return out
+    tails = _table([f"_{t}" for t in range(1, top + 2)])
+    return np.concatenate([_const(prefix.encode(), len(indices[0])),
+                           *(np.take(tails, ix, axis=0) for ix in indices)], axis=1)
+
+
+def _name_table(names: np.ndarray) -> np.ndarray:
+    """Table of given names (see _labels), each UTF-8 encoded. Parsed
+    names are arbitrary tokens, so one that holds NUL, which the padding
+    could not be told from, is refused."""
+    words = names.tolist()
+    if "\0" in "".join(words):
+        raise ValueError("cannot write a name that contains NUL")
+    return _table([word.encode() for word in words])
+
+
+def _stack(tables) -> np.ndarray:
+    """Tables one below the other, NUL-padded to the widest."""
+    width = max(t.shape[1] for t in tables)
+    return np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1]))) for t in tables])
+
+
+def _words(table: np.ndarray) -> np.ndarray:
+    """The names of a table of built names (ASCII, no line breaks) as an
+    object array."""
+    lines = _squeeze(np.concatenate([table, _const(b"\n", len(table))], axis=1))
+    return np.array(lines.decode().split("\n")[:-1], dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +133,9 @@ class ColumnBlock:
         return self.m * (1 if self.i is None else len(self.i))
 
     def names(self) -> np.ndarray:
-        """Names of the block's columns, in column order."""
-        k = _labels("", np.arange(self.m))
-        if self.i is None:
-            return self.tag + k
-        # one tag_i_j per run of m columns, then the _k of each column
-        heads = _labels(self.tag, *[ix for ix in (self.i, self.j) if ix is not None])
-        return (heads[:, None] + k).ravel()
+        """Table (see _labels) of the block's column names, in column order."""
+        run, k = np.divmod(np.arange(self.size), self.m)
+        return _labels(self.tag, *[ix[run] for ix in (self.i, self.j) if ix is not None], k)
 
 
 class MipInstance:
@@ -141,31 +181,40 @@ class MipInstance:
     def nrows(self) -> int:
         return self.matrix.shape[0]
 
+    def column_table(self) -> np.ndarray:
+        """Names of all columns as a table (see _labels)."""
+        if self.blocks is None:
+            return _name_table(self._col_names)
+        return _stack([b.names() for b in self.blocks.values()])
+
     def column_names(self) -> np.ndarray:
         """Names of all columns as an object array."""
         if self.blocks is None:
             return self._col_names
-        return np.concatenate([b.names() for b in self.blocks.values()])
+        return _words(self.column_table())
 
-    def row_segments(self, col_names: np.ndarray):
+    def row_segments(self, col_table: np.ndarray):
         """Yield (start, prefix, names) for each run of rows, one run at a
-        time: row start + r is named `prefix` + names[r]. A row group without
-        product columns numbers its rows (assign_1); an envelope group names
-        each row after its product column (p1_e_1_2_1), gathered from
-        `col_names`, the names of all columns."""
+        time: row start + r is named `prefix` + row r of the table `names`.
+        A row group without product columns numbers its rows (assign_1); an
+        envelope group names each row after its product column
+        (p1_e_1_2_1), gathered from `col_table`, the column_table."""
         if self.row_groups is None:
-            yield 0, "", self._row_names
+            yield 0, "", _name_table(self._row_names)
             return
         start = 0
         for prefix, count, cols in self.row_groups:
             yield start, prefix, (_labels("", np.arange(count)) if cols is None
-                                  else col_names[cols])
+                                  else col_table[cols])
             start += count
 
     def row_names(self) -> np.ndarray:
         """Names of all rows as an object array (see row_segments)."""
-        return np.concatenate([prefix + names for _, prefix, names
-                               in self.row_segments(self.column_names())])
+        if self.row_groups is None:
+            return self._row_names
+        return np.concatenate([
+            _words(np.concatenate([_const(prefix.encode(), len(names)), names], axis=1))
+            for _, prefix, names in self.row_segments(self.column_table())])
 
     def column_index(self, name: str) -> int:
         hits = np.flatnonzero(self.column_names() == name)
@@ -364,14 +413,16 @@ def clustering_from_solution(mip: MipInstance, values: np.ndarray) -> CycleClust
 
 _SENSE_SYMBOL = {"L": "<=", "G": ">=", "E": "="}
 _SYMBOL_SENSE = {v: k for k, v in _SENSE_SYMBOL.items()}
-# Text is made as object arrays of string pieces and joined one chunk at a
-# time, so that a writer holds one chunk of it: whole-model piece arrays
-# would cost more memory than the model itself. A chunk is whole lines of
-# at most this many pieces (two per term, plus a row's head and tail, or
-# five per bound line), or one line if that alone is longer.
+# Text is made one chunk at a time, so that a writer holds one chunk of it:
+# whole-model tables would cost more memory than the model itself. A chunk
+# is whole lines of at most this many pieces (two per term, plus a row's
+# head and tail, or five per bound line), or one line if that alone is
+# longer.
 _CHUNK_PIECES = 1 << 16
+
+
 # term sign by (first term of its row, coefficient not positive)
-_SIGNS = np.array([" + ", " - ", "", "- "], dtype=object)
+_SIGNS = _table([" + ", " - ", "", "- "])
 
 
 def _format(values: np.ndarray) -> np.ndarray:
@@ -391,66 +442,74 @@ def _format(values: np.ndarray) -> np.ndarray:
 
 
 def _num_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values formatted, index of each entry among them)."""
-    uniq, inv = np.unique(values, return_inverse=True)
-    return _format(uniq), inv
+    """(distinct values formatted, index of each entry among them). The
+    values hold few distinct numbers (bounds, right-hand sides), so a
+    search finds each one's index sooner than a sort of them all."""
+    uniq = np.unique(values)
+    return _format(uniq), np.searchsorted(uniq, values)
 
 
-def _coefficients(*arrays) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct magnitudes other than 1 in `arrays`, sorted; the text of
-    each followed by a space), read a chunk at a time. Rows share their
-    coefficients (every flowdef row has the same d_ij), so each is
-    formatted once per export."""
-    parts = [np.empty(0)]
+def _coefficients(*arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct magnitudes in `arrays` and 1, sorted; a table of their
+    text, each followed by a space, and none for 1; the length of each
+    text), read a chunk at a time. Rows share their coefficients (every
+    flowdef row has the same d_ij), so each is formatted once per export."""
+    parts = [np.ones(1)]
     for values in arrays:
         for lo in range(0, len(values), _CHUNK_PIECES):
-            mags = np.abs(values[lo:lo + _CHUNK_PIECES])
-            parts.append(np.unique(mags[mags != 1.0]))
+            parts.append(np.unique(np.abs(values[lo:lo + _CHUNK_PIECES])))
     mags = np.unique(np.concatenate(parts))
-    return mags, _format(mags) + " "
+    texts = _format(mags) + " "
+    texts[mags == 1.0] = ""
+    table = _table(texts.tolist())
+    return mags, table, np.count_nonzero(table, axis=1)
 
 
-def _row_tails(senses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The " <= rhs\\n" end of every row. Rows come in runs of one sense
-    and right-hand side, so each run's tail is made once."""
-    if not len(rhs):
-        return np.empty(0, dtype=object)
+def _row_ends(senses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The " <= rhs\\n" end of every row, as a table. Rows come in runs
+    of one sense and right-hand side, so each run's end is made once."""
     starts = np.flatnonzero(np.concatenate(
         [[True], (senses[1:] != senses[:-1]) | (rhs[1:] != rhs[:-1])]))
     nums, at = _num_strings(rhs[starts])
-    tails = np.empty(len(starts), dtype=object)
-    tails[:] = [f" {_SENSE_SYMBOL[s]} {nums[k]}\n"
-                for s, k in zip(senses[starts].tolist(), at.tolist())]
-    return np.repeat(tails, np.diff(np.append(starts, len(rhs))))
+    ends = _table([f" {_SENSE_SYMBOL[s]} {nums[k]}\n"
+                   for s, k in zip(senses[starts].tolist(), at.tolist())])
+    return np.repeat(ends, np.diff(np.append(starts, len(rhs))), axis=0)
 
 
-def _rows_text(head, tail, indptr, cols, vals, names, coefficients) -> str:
+def _terms(sign_at, cols, vals, rows: int, names, coefficients) -> np.ndarray:
+    """(rows, width) table of the terms of `rows` rows with equal term
+    counts, whose signs (indices into _SIGNS), columns and coefficients
+    are given in row order. A term is its sign, its coefficient unless
+    that is 1, and the column's name from the `names` table;
+    `coefficients` is from _coefficients."""
+    fields = [np.take(_SIGNS, sign_at, axis=0), np.take(names, cols, axis=0)]
+    mag = np.abs(vals)
+    if np.any(mag != 1.0):
+        mags, texts, lengths = coefficients
+        here, inv = np.unique(mag, return_inverse=True)
+        at = np.searchsorted(mags, here)
+        # the coefficient field is as wide as the run's widest coefficient
+        fields.insert(1, np.take(texts[:, :lengths[at].max()], at[inv], axis=0))
+    terms = np.concatenate(fields, axis=1)
+    return terms.reshape(rows, len(vals) // rows * terms.shape[1])
+
+
+def _rows_text(head, ends, indptr, cols, vals, names, coefficients) -> bytes:
     """One line per row of a CSR slice whose `indptr` starts at 0: the
-    `head` pieces (strings or per-row arrays), the terms, then the per-row
-    `tail`. A term is its sign, its coefficient unless that is 1, and the
-    column name; `coefficients` is the table from _coefficients."""
-    nrows, nnz, width = len(tail), len(cols), len(head) + 1
+    row's `head`, its terms (see _terms), then its end, from tables with a
+    row per row. Each run of rows with equal term counts is one table."""
     counts = np.diff(indptr)
     sign_at = np.where(vals > 0, 0, 1)
     sign_at[indptr[:-1][counts > 0]] += 2
-    leads = _SIGNS[sign_at]
-    other = np.flatnonzero(np.abs(vals) != 1.0)
-    if other.size:
-        mags, texts = coefficients
-        here, inv = np.unique(np.abs(vals[other]), return_inverse=True)
-        leads[other] += texts[np.searchsorted(mags, here)][inv]
-    # row r takes `width` pieces for head and tail plus two per term (lead
-    # and name), so it starts at 2 * indptr[r] + width * r
-    skip = width * np.arange(nrows)
-    row_at = 2 * indptr[:-1] + skip
-    lead_at = 2 * np.arange(nnz) + np.repeat(skip, counts) + len(head)
-    pieces = np.empty(2 * nnz + width * nrows, dtype=object)
-    for p, piece in enumerate(head):
-        pieces[row_at + p] = piece
-    pieces[lead_at] = leads
-    pieces[lead_at + 1] = names[cols]
-    pieces[row_at + width - 1 + 2 * counts] = tail
-    return "".join(pieces.tolist())
+    cuts = np.flatnonzero(np.diff(counts)) + 1
+    out = []
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(counts)]):
+        a, b = indptr[lo], indptr[hi]
+        # the term table is freed once the line table is made, before the squeeze
+        out.append(_squeeze(np.concatenate(
+            [head[lo:hi], _terms(sign_at[a:b], cols[a:b], vals[a:b], hi - lo, names,
+                                 coefficients), ends[lo:hi]], axis=1)))
+    return b"".join(out)
 
 
 def _chunk_end(indptr, lo: int, end: int, width: int) -> int:
@@ -464,8 +523,8 @@ def _chunk_end(indptr, lo: int, end: int, width: int) -> int:
     return lo + max(fit, 1)
 
 
-def _bounds_text(names, lb, ub) -> str:
-    """Bounds-section lines of the given columns."""
+def _bounds_text(names, lb, ub) -> bytes:
+    """Bounds-section lines of the given columns, `names` their table."""
     fixed = lb == ub
     if np.any(fixed & np.isinf(lb)):
         raise ValueError("a column is fixed at an infinite value")
@@ -473,56 +532,55 @@ def _bounds_text(names, lb, ub) -> str:
     # infinite bounds are never printed; 0 stands in so they can be formatted
     lo, lo_at = _num_strings(np.where(has_lo, lb, 0.0))
     hi, hi_at = _num_strings(np.where(has_hi, ub, 0.0))
-    lo_end, hi_end, lo_start = (lo + "\n")[lo_at], (hi + "\n")[hi_at], (" " + lo)[lo_at]
-    # one line per row of a (columns, 5) piece table, unused cells empty
-    pieces = np.empty((len(names), 5), dtype=object)
-    pieces.fill("")
-    for mask, parts in (
-        (fixed, (" ", names, " = ", lo_end)),
-        (~fixed & ~has_lo & ~has_hi, (" ", names, " free\n")),
-        (~fixed & has_lo & ~has_hi, (" ", names, " >= ", lo_end)),
-        (~fixed & ~has_lo & has_hi, (" ", names, " <= ", hi_end)),
-        (~fixed & has_lo & has_hi, (lo_start, " <= ", names, " <= ", hi_end)),
-    ):
-        at = np.flatnonzero(mask)
-        for p, part in enumerate(parts):
-            pieces[at, p] = part if isinstance(part, str) else part[at]
-    return "".join(pieces.ravel().tolist())
+    # a line is " " or " lo <= " (both bounds), the name, then its end
+    leads = _table([" ", *(" " + lo + " <= ")])
+    ends = _table([" free\n", *(" = " + lo + "\n"), *(" >= " + lo + "\n"),
+                   *(" <= " + hi + "\n")])
+    lead_at = np.where(~fixed & has_lo & has_hi, 1 + lo_at, 0)
+    end_at = np.select([fixed, has_lo & ~has_hi, has_hi],
+                       [1 + lo_at, 1 + len(lo) + lo_at, 1 + 2 * len(lo) + hi_at])
+    return _squeeze(np.concatenate([np.take(leads, lead_at, axis=0), names,
+                                    np.take(ends, end_at, axis=0)], axis=1))
 
 
 def lp_chunks(mip: MipInstance):
-    """Yield the model's LP text chunk by chunk (see _CHUNK_PIECES), each
-    chunk whole lines, so that a writer holds one chunk at a time."""
-    names = mip.column_names()
+    """Yield the model's LP text as bytes, chunk by chunk (see
+    _CHUNK_PIECES), each chunk whole lines, so that a writer holds one
+    chunk at a time."""
+    names = mip.column_table()
     mat = mip.matrix
     coefficients = _coefficients(mip.obj, mat.data)
     obj_cols = np.flatnonzero(mip.obj)
-    yield "Maximize\n" + _rows_text(
-        [" obj: "], np.array(["\n"], dtype=object), np.array([0, len(obj_cols)]),
+    yield b"Maximize\n" + _rows_text(
+        _const(b" obj: ", 1), _const(b"\n", 1), np.array([0, len(obj_cols)]),
         obj_cols, mip.obj[obj_cols], names, coefficients)
-    yield "Subject To\n"
+    yield b"Subject To\n"
     for start, prefix, row_names in mip.row_segments(names):
         lo, end = start, start + len(row_names)
         while lo < end:
             hi = _chunk_end(mat.indptr, lo, end, 4)  # three head pieces, one tail
             a, b = mat.indptr[lo], mat.indptr[hi]
-            yield _rows_text([" " + prefix, row_names[lo - start:hi - start], ": "],
-                             _row_tails(mip.senses[lo:hi], mip.rhs[lo:hi]),
+            head = np.concatenate([_const(b" " + prefix.encode(), hi - lo),
+                                   row_names[lo - start:hi - start],
+                                   _const(b": ", hi - lo)], axis=1)
+            yield _rows_text(head, _row_ends(mip.senses[lo:hi], mip.rhs[lo:hi]),
                              mat.indptr[lo:hi + 1] - a, mat.indices[a:b], mat.data[a:b],
                              names, coefficients)
             lo = hi
-    yield "Bounds\n"
+    yield b"Bounds\n"
     step = max(_CHUNK_PIECES // 5, 1)
     for lo in range(0, mip.ncols, step):
         hi = min(lo + step, mip.ncols)
         yield _bounds_text(names[lo:hi], mip.lb[lo:hi], mip.ub[lo:hi])
-    yield "".join(["Binaries\n", *(f" {name}\n" for name in names[mip.binary].tolist()),
-                   "End\n"])
+    binaries = names[mip.binary]
+    yield b"".join([b"Binaries\n", _squeeze(np.concatenate(
+        [_const(b" ", len(binaries)), binaries, _const(b"\n", len(binaries))], axis=1)),
+        b"End\n"])
 
 
 def export_model(mip: MipInstance) -> str:
     """Deterministic LP-format text; parse_model inverts it exactly."""
-    return "".join(lp_chunks(mip))
+    return b"".join(lp_chunks(mip)).decode()
 
 
 def _parse_terms(tokens):

@@ -11,9 +11,13 @@ with the LU, one small triangular solve and one dense product, with no
 loop over the etas. Pricing and ratio tests look only at the nonbasic
 columns that can move and at the rows that block.
 
-Dual-simplex iterates stay dual feasible, so their objective value is a
-valid upper bound on the relaxation at every step; branch-and-bound uses
-this both for early cutoff and for sound bounds under time limits.
+A dual-simplex iterate's objective bounds the relaxation from above only
+while the iterate is dual feasible, and nothing keeps it so: the reduced
+costs `d` are updated step by step and recomputed only at a
+refactorization, and the ratio test takes |d_j|, so a reduced cost of the
+wrong sign goes unnoticed. Branch and bound still ends a re-solve early at
+the incumbent (the `cutoff` exit) and reads time-limited bounds from these
+objectives, so both can be too low.
 
 Scaling is internal: callers give bound tightenings and crash points in
 original units and read values back in them; only the engine divides by
@@ -485,8 +489,10 @@ class SimplexEngine:
                    cutoff: float | None = None) -> str:
         """Dual simplex from a dual-feasible basis after bound changes.
 
-        Every iterate's objective is a valid upper bound; returns "cutoff"
-        as soon as that bound drops to the incumbent.
+        Returns "cutoff" as soon as the iterate's objective drops to
+        `cutoff`, without checking that the iterate is still dual feasible
+        (see the module docstring): the objective is then an upper bound on
+        the relaxation only if no reduced cost has drifted to the wrong sign.
         """
         std = self.std
         self._install_basis(basis, stat)

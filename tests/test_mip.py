@@ -386,6 +386,51 @@ def test_export_covers_every_bound_and_coefficient_form():
     assert export_model(again) == text
 
 
+NON_ASCII_LP = """\
+Maximize
+ obj: débit + 2 σ_1 - 0.5 ζ
+Subject To
+ équilibre: débit - σ_1 + 3 ζ <= 1
+ π: - débit + ζ >= 0
+Bounds
+ 0 <= débit <= 1
+ σ_1 >= 0
+ ζ free
+Binaries
+ débit
+End
+"""
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_non_ascii_names_round_trip(monkeypatch, budget):
+    """Parsed names are arbitrary tokens: each is written as its UTF-8
+    bytes, also when every line is a chunk of its own."""
+    import cycleclust.mip as mip
+
+    monkeypatch.setattr(mip, "_CHUNK_PIECES", budget)
+    assert export_model(parse_model(NON_ASCII_LP)) == NON_ASCII_LP
+    assert b"".join(mip.lp_chunks(parse_model(NON_ASCII_LP))) == NON_ASCII_LP.encode()
+
+
+@pytest.mark.parametrize("col_names,row_names", [
+    pytest.param(["x\0y"], ["r"], id="column"),
+    pytest.param(["x"], ["r\0"], id="row"),
+])
+def test_a_name_with_nul_is_refused(col_names, row_names):
+    """LP text is made by squeezing NUL padding out of byte tables, so a
+    name that holds NUL is refused instead of losing the byte."""
+    from scipy.sparse import csr_matrix
+
+    from cycleclust.mip import MipInstance
+
+    mip = MipInstance(csr_matrix([[1.0]]), ["L"], [1.0], lb=[0.0], ub=[1.0], obj=[1.0],
+                      binary=[False], n=0, m=0, alpha=None,
+                      col_names=col_names, row_names=row_names)
+    with pytest.raises(ValueError, match="NUL"):
+        export_model(mip)
+
+
 @pytest.mark.parametrize("budget", [1, 7, 100, 1000, 10**9])
 def test_text_does_not_depend_on_the_chunk_budget(monkeypatch, budget):
     """lp_chunks cuts only between lines and formats each coefficient once
@@ -404,12 +449,12 @@ def test_text_does_not_depend_on_the_chunk_budget(monkeypatch, budget):
     monkeypatch.setattr(mip, "_CHUNK_PIECES", budget)
     for model, text in zip(models, texts):
         chunks = list(mip.lp_chunks(model))
-        assert "".join(chunks) == text
-        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert b"".join(chunks) == text.encode()
+        assert all(chunk.endswith(b"\n") for chunk in chunks)
         if budget == 1:
             # the objective, "Subject To", "Bounds" and Binaries-to-End
             assert len(chunks) == model.nrows + model.ncols + 4
-    defining = [c for c in mip.lp_chunks(built) if " flowdef_" in c or " cohdef_" in c]
+    defining = [c for c in mip.lp_chunks(built) if b" flowdef_" in c or b" cohdef_" in c]
     assert len(defining) > 1 if budget <= 1000 else len(defining) == 2
 
 
