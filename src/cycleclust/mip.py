@@ -30,21 +30,21 @@ column_table names every column, row_segments yields one row group's
 table at a time, and column_names and row_names decode them to str arrays.
 
 lp_chunks yields the text as bytes, chunk by chunk; export_model joins and
-decodes the chunks. Each field of a line (a term's sign, coefficient and
-column name, a row's head and end) is such a table. A run of rows with
-equal term counts is one (rows, width) table of bytes, and one pass drops
-its padding, since LP text holds no NUL. Each distinct coefficient is
-formatted once per export (unit coefficients need no number) and its
-field is as wide as the run's widest; each run of equal row ends is made
-once per chunk; an envelope row is named by its "p1_" prefix and its
-product column's name.
+decodes the chunks. It writes runs of consecutive lines that differ only
+in their names (rows of one group with equal term counts, coefficients,
+sense and rhs; columns with equal bounds): the rest of a run's line, the
+terms' signs and coefficients (none for 1) and its end, is formatted
+once, and a chunk of the run is one (lines, width) table of bytes with
+the names gathered from the tables above in between; one pass drops its
+padding, since LP text holds no NUL. An envelope row is named by its
+"p1_" prefix and its product column's name.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -217,18 +217,27 @@ class MipInstance:
             for _, prefix, names in self.row_segments(self.column_table())])
 
     def column_index(self, name: str) -> int:
+        """Column of the given name: one vectorized scan over every column
+        name per call."""
         hits = np.flatnonzero(self.column_names() == name)
         if not hits.size:
             raise KeyError(name)
         return int(hits[0])
 
     def constraint(self, i):
-        """(name, {column: coefficient}, sense, rhs) for row i."""
+        """(name, {column: coefficient}, sense, rhs) for row i. Only row
+        i's name is decoded, from the row segment that holds it."""
+        if self.row_groups is None:
+            name = self._row_names[i]
+        else:
+            for start, prefix, names in self.row_segments(self.column_table()):
+                if i < start + len(names):
+                    name = prefix + _squeeze(names[i - start]).decode()
+                    break
         lo, hi = self.matrix.indptr[i], self.matrix.indptr[i + 1]
         coefs = {int(c): float(v) for c, v in zip(self.matrix.indices[lo:hi],
                                                   self.matrix.data[lo:hi])}
-        return (str(self.row_names()[i]), coefs, str(self.senses[i]),
-                float(self.rhs[i]))
+        return str(name), coefs, str(self.senses[i]), float(self.rhs[i])
 
     def x_column(self, i: int, k: int) -> int:
         """Column of the assignment binary for bin i, cluster k (1-based)."""
@@ -415,9 +424,9 @@ _SENSE_SYMBOL = {"L": "<=", "G": ">=", "E": "="}
 _SYMBOL_SENSE = {v: k for k, v in _SENSE_SYMBOL.items()}
 # Text is made one chunk at a time, so that a writer holds one chunk of it:
 # whole-model tables would cost more memory than the model itself. A chunk
-# is whole lines of at most this many pieces (two per term, plus a row's
-# head and tail, or five per bound line), or one line if that alone is
-# longer.
+# is whole lines of one run of at most this many pieces (two per term, plus
+# a row's head and tail, or five per bound line), or one line if that alone
+# is longer.
 _CHUNK_PIECES = 1 << 16
 
 
@@ -441,141 +450,97 @@ def _format(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _num_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct values formatted, index of each entry among them). The
-    values hold few distinct numbers (bounds, right-hand sides), so a
-    search finds each one's index sooner than a sort of them all."""
-    uniq = np.unique(values)
-    return _format(uniq), np.searchsorted(uniq, values)
+def _edges(*arrays) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of consecutive positions at which the
+    equal-length `arrays` all hold the same values."""
+    n = len(arrays[0])
+    changes = np.logical_or.reduce([a[1:] != a[:-1] for a in arrays])
+    return list(pairwise([0, *(np.flatnonzero(changes) + 1).tolist(), n])) if n else []
 
 
-def _coefficients(*arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct magnitudes in `arrays` and 1, sorted; a table of their
-    text, each followed by a space, and none for 1; the length of each
-    text), read a chunk at a time. Rows share their coefficients (every
-    flowdef row has the same d_ij), so each is formatted once per export."""
-    parts = [np.ones(1)]
-    for values in arrays:
-        for lo in range(0, len(values), _CHUNK_PIECES):
-            parts.append(np.unique(np.abs(values[lo:lo + _CHUNK_PIECES])))
-    mags = np.unique(np.concatenate(parts))
+def _runs(indptr, data, senses, rhs) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of consecutive CSR rows, `indptr` into `data`,
+    whose lines differ only in their names: rows with equal term counts,
+    coefficients, senses and right-hand sides."""
+    counts = np.diff(indptr)
+    runs = []
+    for lo, hi in _edges(counts, senses, rhs):
+        block = data[indptr[lo]:indptr[hi]].reshape(hi - lo, counts[lo])
+        new = np.flatnonzero((block[1:] != block[:-1]).any(axis=1)) + lo + 1
+        runs += pairwise([lo, *new.tolist(), hi])
+    return runs
+
+
+def _term_table(coefs: np.ndarray) -> np.ndarray:
+    """Table of the text before each column name in a row with these
+    coefficients: the term's sign, then its magnitude and a space unless
+    that is 1."""
+    signs = np.where(coefs > 0, 0, 1)
+    signs[:1] += 2
+    # a flowdef row holds d_ij and d_ji = -d_ij: each magnitude is formatted once
+    mags, at = np.unique(np.abs(coefs), return_inverse=True)
     texts = _format(mags) + " "
     texts[mags == 1.0] = ""
-    table = _table(texts.tolist())
-    return mags, table, np.count_nonzero(table, axis=1)
+    return np.concatenate([np.take(_SIGNS, signs, axis=0),
+                           np.take(_table(texts.tolist()), at, axis=0)], axis=1)
 
 
-def _row_ends(senses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The " <= rhs\\n" end of every row, as a table. Rows come in runs
-    of one sense and right-hand side, so each run's end is made once."""
-    starts = np.flatnonzero(np.concatenate(
-        [[True], (senses[1:] != senses[:-1]) | (rhs[1:] != rhs[:-1])]))
-    nums, at = _num_strings(rhs[starts])
-    ends = _table([f" {_SENSE_SYMBOL[s]} {nums[k]}\n"
-                   for s, k in zip(senses[starts].tolist(), at.tolist())])
-    return np.repeat(ends, np.diff(np.append(starts, len(rhs))), axis=0)
+def _lines(heads, cols, terms, end: str, names) -> bytes:
+    """One line per row of the (rows, width) column indices `cols`: its
+    rows of the tables `heads`, then for each column its row of the table
+    `terms` (see _term_table) and its name from the table `names`, then
+    `end`. The table of the lines is squeezed once."""
+    rows, width = cols.shape
+    pairs = np.concatenate([np.broadcast_to(terms, (rows, *terms.shape)),
+                            np.take(names, cols, axis=0)], axis=2)
+    return _squeeze(np.concatenate([*heads, pairs.reshape(rows, width * pairs.shape[2]),
+                                    _const(end.encode(), rows)], axis=1))
 
 
-def _terms(sign_at, cols, vals, rows: int, names, coefficients) -> np.ndarray:
-    """(rows, width) table of the terms of `rows` rows with equal term
-    counts, whose signs (indices into _SIGNS), columns and coefficients
-    are given in row order. A term is its sign, its coefficient unless
-    that is 1, and the column's name from the `names` table;
-    `coefficients` is from _coefficients."""
-    fields = [np.take(_SIGNS, sign_at, axis=0), np.take(names, cols, axis=0)]
-    mag = np.abs(vals)
-    if np.any(mag != 1.0):
-        mags, texts, lengths = coefficients
-        here, inv = np.unique(mag, return_inverse=True)
-        at = np.searchsorted(mags, here)
-        # the coefficient field is as wide as the run's widest coefficient
-        fields.insert(1, np.take(texts[:, :lengths[at].max()], at[inv], axis=0))
-    terms = np.concatenate(fields, axis=1)
-    return terms.reshape(rows, len(vals) // rows * terms.shape[1])
-
-
-def _rows_text(head, ends, indptr, cols, vals, names, coefficients) -> bytes:
-    """One line per row of a CSR slice whose `indptr` starts at 0: the
-    row's `head`, its terms (see _terms), then its end, from tables with a
-    row per row. Each run of rows with equal term counts is one table."""
-    counts = np.diff(indptr)
-    sign_at = np.where(vals > 0, 0, 1)
-    sign_at[indptr[:-1][counts > 0]] += 2
-    cuts = np.flatnonzero(np.diff(counts)) + 1
-    out = []
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(counts)]):
-        a, b = indptr[lo], indptr[hi]
-        # the term table is freed once the line table is made, before the squeeze
-        out.append(_squeeze(np.concatenate(
-            [head[lo:hi], _terms(sign_at[a:b], cols[a:b], vals[a:b], hi - lo, names,
-                                 coefficients), ends[lo:hi]], axis=1)))
-    return b"".join(out)
-
-
-def _chunk_end(indptr, lo: int, end: int, width: int) -> int:
-    """End of the chunk of rows that starts at row `lo`: as many rows
-    before `end` as fit in _CHUNK_PIECES pieces of `width` per row and two
-    per term, and at least one."""
-    first = int(indptr[lo])
-    fit = bisect.bisect_right(
-        range(lo + 1, end + 1), _CHUNK_PIECES,
-        key=lambda hi: 2 * (int(indptr[hi]) - first) + width * (hi - lo))
-    return lo + max(fit, 1)
-
-
-def _bounds_text(names, lb, ub) -> bytes:
-    """Bounds-section lines of the given columns, `names` their table."""
-    fixed = lb == ub
-    if np.any(fixed & np.isinf(lb)):
+def _bound_ends(lb: float, ub: float) -> tuple[str, str]:
+    """The text before and after a column's name on its Bounds line."""
+    lo, hi = (None if math.isinf(v) else _format([v])[0] for v in (lb, ub))
+    if lb == ub and lo is None:
         raise ValueError("a column is fixed at an infinite value")
-    has_lo, has_hi = ~np.isinf(lb), ~np.isinf(ub)
-    # infinite bounds are never printed; 0 stands in so they can be formatted
-    lo, lo_at = _num_strings(np.where(has_lo, lb, 0.0))
-    hi, hi_at = _num_strings(np.where(has_hi, ub, 0.0))
-    # a line is " " or " lo <= " (both bounds), the name, then its end
-    leads = _table([" ", *(" " + lo + " <= ")])
-    ends = _table([" free\n", *(" = " + lo + "\n"), *(" >= " + lo + "\n"),
-                   *(" <= " + hi + "\n")])
-    lead_at = np.where(~fixed & has_lo & has_hi, 1 + lo_at, 0)
-    end_at = np.select([fixed, has_lo & ~has_hi, has_hi],
-                       [1 + lo_at, 1 + len(lo) + lo_at, 1 + 2 * len(lo) + hi_at])
-    return _squeeze(np.concatenate([np.take(leads, lead_at, axis=0), names,
-                                    np.take(ends, end_at, axis=0)], axis=1))
+    if lb == ub:
+        return " ", f" = {lo}\n"
+    end = f" <= {hi}" if hi else f" >= {lo}" if lo else " free"
+    return (f" {lo} <= " if lo and hi else " "), end + "\n"
 
 
 def lp_chunks(mip: MipInstance):
     """Yield the model's LP text as bytes, chunk by chunk (see
-    _CHUNK_PIECES), each chunk whole lines, so that a writer holds one
-    chunk at a time."""
+    _CHUNK_PIECES), so that a writer holds one chunk at a time. A chunk is
+    whole lines of one run, lines that differ only in their names, whose
+    other text is made once."""
     names = mip.column_table()
     mat = mip.matrix
-    coefficients = _coefficients(mip.obj, mat.data)
     obj_cols = np.flatnonzero(mip.obj)
-    yield b"Maximize\n" + _rows_text(
-        _const(b" obj: ", 1), _const(b"\n", 1), np.array([0, len(obj_cols)]),
-        obj_cols, mip.obj[obj_cols], names, coefficients)
+    yield b"Maximize\n" + _lines([_const(b" obj: ", 1)], obj_cols[None],
+                                 _term_table(mip.obj[obj_cols]), "\n", names)
     yield b"Subject To\n"
     for start, prefix, row_names in mip.row_segments(names):
-        lo, end = start, start + len(row_names)
-        while lo < end:
-            hi = _chunk_end(mat.indptr, lo, end, 4)  # three head pieces, one tail
-            a, b = mat.indptr[lo], mat.indptr[hi]
-            head = np.concatenate([_const(b" " + prefix.encode(), hi - lo),
-                                   row_names[lo - start:hi - start],
-                                   _const(b": ", hi - lo)], axis=1)
-            yield _rows_text(head, _row_ends(mip.senses[lo:hi], mip.rhs[lo:hi]),
-                             mat.indptr[lo:hi + 1] - a, mat.indices[a:b], mat.data[a:b],
-                             names, coefficients)
-            lo = hi
+        rows = slice(start, start + len(row_names))
+        indptr, senses, rhs = mat.indptr[start:rows.stop + 1], mip.senses[rows], mip.rhs[rows]
+        for lo, hi in _runs(indptr, mat.data, senses, rhs):
+            first, width = indptr[lo], int(indptr[lo + 1] - indptr[lo])
+            terms = _term_table(mat.data[first:first + width])
+            end = f" {_SENSE_SYMBOL[senses[lo]]} {_format([rhs[lo]])[0]}\n"
+            step = max(_CHUNK_PIECES // (2 * width + 4), 1)  # three head pieces, one end
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                heads = [_const(b" " + prefix.encode(), b - a), row_names[a:b],
+                         _const(b": ", b - a)]
+                yield _lines(heads, mat.indices[indptr[a]:indptr[b]].reshape(b - a, width),
+                             terms, end, names)
     yield b"Bounds\n"
     step = max(_CHUNK_PIECES // 5, 1)
-    for lo in range(0, mip.ncols, step):
-        hi = min(lo + step, mip.ncols)
-        yield _bounds_text(names[lo:hi], mip.lb[lo:hi], mip.ub[lo:hi])
-    binaries = names[mip.binary]
-    yield b"".join([b"Binaries\n", _squeeze(np.concatenate(
-        [_const(b" ", len(binaries)), binaries, _const(b"\n", len(binaries))], axis=1)),
-        b"End\n"])
+    for lo, hi in _edges(mip.lb, mip.ub):
+        lead, end = _bound_ends(mip.lb[lo], mip.ub[lo])
+        for a in range(lo, hi, step):
+            yield _lines([], np.arange(a, min(a + step, hi))[:, None], _table([lead]), end, names)
+    binaries = np.flatnonzero(mip.binary)[:, None]
+    yield b"".join([b"Binaries\n", _lines([], binaries, _table([" "]), "\n", names), b"End\n"])
 
 
 def export_model(mip: MipInstance) -> str:

@@ -213,6 +213,10 @@ def test_defining_rows_hold_f_and_g_alone_with_unit_coefficients(m):
         _, coefs, sense, rhs = mip.constraint(row)
         assert (coefs[col], sense, rhs) == (1.0, "E", 0.0)
         assert mip.matrix[:, [col]].nnz == 1
+    # constraint decodes one row's name: that of row_names, built or parsed
+    for model in (build_mip(random_chain(8, 3)[2], m, 0.001), parse_model(HAND_MADE_LP)):
+        names = [model.constraint(i)[0] for i in range(model.nrows)]
+        assert names == model.row_names().tolist()
 
 
 FORMAT_CASES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e15 - 1, 1e15, 1e16, 0.1, 1.0 / 3.0,
@@ -413,6 +417,61 @@ def test_non_ascii_names_round_trip(monkeypatch, budget):
     assert b"".join(mip.lp_chunks(parse_model(NON_ASCII_LP))) == NON_ASCII_LP.encode()
 
 
+# Lines that a writer by runs could wrongly merge or cut: rows r1 to r7 share
+# their term count and one differs from the next only in coefficients, rhs,
+# sense or a sign, while r2 and r3 differ only in their names; then zero,
+# -0.0 and 1e-300 coefficients, rows without terms, and bounds of every form,
+# a and b sharing lb, d and e sharing both bounds.
+RUNS_LP = """\
+Maximize
+ obj: 2 a + 1e-300 c - d
+Subject To
+ r1: a + 2 b <= 1
+ r2: a + 3 b <= 1
+ r3: c + 3 d <= 1
+ r4: c + 3 d <= 2
+ r5: c + 3 d >= 2
+ r6: c - 3 d >= 2
+ r7: - 0 a - 0 b >= 2
+ t1: 1e-300 a - 0.5 c = 0
+ e1:  <= 0
+ e2:  <= 0
+ e3:  = 0
+Bounds
+ 0 <= a <= 1
+ 0 <= b <= 2
+ c >= 0
+ d = 3
+ e = 3
+ f free
+ g free
+ h <= 4
+ i <= -0.5
+ -1e-300 <= j <= 1e-300
+Binaries
+ a
+End
+"""
+NO_ROWS_LP = "Maximize\n obj: \nSubject To\nBounds\n y free\nBinaries\nEnd\n"
+
+
+@pytest.mark.parametrize("text", [RUNS_LP, NO_ROWS_LP], ids=["runs", "no-rows"])
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_runs_split_where_lines_differ(monkeypatch, budget, text):
+    """A run of lines shares every byte but the names: parsed texts that
+    differ line to line in each other field write back unchanged, one line
+    per chunk and at the default budget, where each run is one chunk."""
+    import cycleclust.mip as mip
+
+    monkeypatch.setattr(mip, "_CHUNK_PIECES", budget)
+    model = parse_model(text)
+    assert export_model(model) == text
+    if text == RUNS_LP and budget > 1:
+        # r1 | r2 r3 | r4 | r5 | r6 | r7 | t1 | e1 e2 | e3, and
+        # a | b | c | d e | f g | h | i | j, besides four section chunks
+        assert sum(1 for _ in mip.lp_chunks(model)) == 9 + 8 + 4
+
+
 @pytest.mark.parametrize("col_names,row_names", [
     pytest.param(["x\0y"], ["r"], id="column"),
     pytest.param(["x"], ["r\0"], id="row"),
@@ -434,7 +493,7 @@ def test_a_name_with_nul_is_refused(col_names, row_names):
 @pytest.mark.parametrize("budget", [1, 7, 100, 1000, 10**9])
 def test_text_does_not_depend_on_the_chunk_budget(monkeypatch, budget):
     """lp_chunks cuts only between lines and formats each coefficient once
-    per export: from one row or bound line per chunk up to one chunk per
+    per run: from one row or bound line per chunk up to one chunk per
     row group, the chunks join to the text at the default budget (pinned
     above by hash and golden file), and each chunk ends a line."""
     from pathlib import Path
